@@ -75,9 +75,9 @@ def test_flush_at_barrier_tracing_matters(benchmark):
             num_nodes=spec.config.num_nodes,
         )
         interp = Interpreter(spec.program, store, params_fn=spec.params_fn)
-        Machine(spec.config, listener=collector, flush_at_barrier=flush).run(
-            interp.kernel
-        )
+        machine = Machine(spec.config, flush_at_barrier=flush)
+        collector.subscribe(machine.bus)
+        machine.run(interp.kernel)
         return collector.finish()
 
     def compare():

@@ -1,4 +1,4 @@
-"""Overhead guard for property-cached always-on verification.
+"""Overhead guard for always-on verification.
 
 ``repro-serve`` now runs bench jobs with ``--verify`` on by default; two
 numbers justify the flip, and this bench measures both:
@@ -16,12 +16,10 @@ numbers justify the flip, and this bench measures both:
   that re-verified artifacts on every serve would fail here.
 
 * **Informational: the cold (first-execution) overhead.**  One
-  ``bench_workload`` run with the property-cached checker vs without,
-  reported as ``cold_overhead_frac`` with a lenient ``--cold-threshold``
-  backstop (default 35%) so a pathological regression still fails even
-  though the honest steady-state number is the cached one.  For scale,
-  the *uncached* checker (``property_cache=False``) is also timed: the
-  gap between the two is what the version-keyed property caches earn.
+  ``bench_workload`` run with the checker vs without, reported as
+  ``cold_overhead_frac`` with a lenient ``--cold-threshold`` backstop
+  (default 35%) so a pathological regression still fails even though the
+  honest steady-state number is the cached one.
 
 Cold rounds interleave the modes (off, then on, back to back per round)
 and the median of per-round ratios wins — minutes-scale machine drift
@@ -88,40 +86,14 @@ def _timed(workload: str, verify: bool) -> float:
     return time.process_time() - start
 
 
-def _uncached_checker():
-    """Context manager forcing ``property_cache=False`` (informational)."""
-    from unittest import mock
-
-    from repro.verify import InvariantChecker
-
-    original = InvariantChecker.__init__
-
-    def no_cache_init(self, protocol, **kwargs):
-        kwargs["property_cache"] = False
-        original(self, protocol, **kwargs)
-
-    return mock.patch.object(InvariantChecker, "__init__", no_cache_init)
-
-
-def _cold_overheads(workload: str, repeats: int, uncached: bool) -> dict:
-    """Median per-round overhead ratios of verify-on (and optionally the
-    uncached checker) over verify-off."""
+def _cold_overhead(workload: str, repeats: int) -> float:
+    """Median per-round overhead ratio of verify-on over verify-off."""
     _timed(workload, verify=False)  # warm imports/caches outside the clock
-    on_ratios, uncached_ratios = [], []
+    on_ratios = []
     for _ in range(repeats):
         off = _timed(workload, verify=False)
         on_ratios.append(_timed(workload, verify=True) / off - 1.0)
-        if uncached:
-            with _uncached_checker():
-                uncached_ratios.append(
-                    _timed(workload, verify=True) / off - 1.0
-                )
-    result = {"cold_overhead_frac": round(statistics.median(on_ratios), 4)}
-    if uncached:
-        result["uncached_overhead_frac"] = round(
-            statistics.median(uncached_ratios), 4
-        )
-    return result
+    return round(statistics.median(on_ratios), 4)
 
 
 def main(argv=None) -> int:
@@ -141,18 +113,14 @@ def main(argv=None) -> int:
     parser.add_argument("--cold-threshold", type=float, default=0.35,
                         help="regression backstop on the cold overhead "
                              "(default 0.35)")
-    parser.add_argument("--skip-uncached", action="store_true",
-                        help="skip the informational uncached-checker runs")
     args = parser.parse_args(argv)
 
     cached_off = _cached_roundtrip(args.workload, False, args.hits)
     cached_on = _cached_roundtrip(args.workload, True, args.hits)
     cached_budget = cached_off * (1.0 + args.threshold) + CACHED_FLOOR_S
-    cold = _cold_overheads(
-        args.workload, args.repeats, uncached=not args.skip_uncached
-    )
+    cold = _cold_overhead(args.workload, args.repeats)
     cached_ok = cached_on <= cached_budget
-    cold_ok = cold["cold_overhead_frac"] <= args.cold_threshold
+    cold_ok = cold <= args.cold_threshold
     summary = {
         "workload": args.workload,
         "cached_off_s": round(cached_off, 6),
@@ -164,7 +132,7 @@ def main(argv=None) -> int:
         "cached_ok": cached_ok,
         "cold_ok": cold_ok,
         "ok": cached_ok and cold_ok,
-        **cold,
+        "cold_overhead_frac": cold,
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -177,7 +145,7 @@ def main(argv=None) -> int:
         )
     if not cold_ok:
         print(
-            f"cold verify overhead {cold['cold_overhead_frac']:.1%} exceeds "
+            f"cold verify overhead {cold:.1%} exceeds "
             f"the {args.cold_threshold:.0%} backstop", file=sys.stderr,
         )
     return 0 if summary["ok"] else 1

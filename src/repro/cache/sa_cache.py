@@ -42,24 +42,6 @@ class SetAssociativeCache:
         self._sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        #: monotone counter of residency/state changes — the verify property
-        #: cache's memo key for whole-cache walks.  Lookups, touches (LRU
-        #: reordering) and dirty-bit writes deliberately do NOT bump it:
-        #: none of them can change what the barrier invariants observe.
-        self.version = 0
-        #: per-block change counters (same events, block granularity) — the
-        #: property cache's forward-scan key, so one hot block does not
-        #: invalidate the memo for every other block this cache holds.
-        #: Public so per-access memo keys can read it without a method
-        #: call; treat as read-only (absent block = version 0).
-        self.block_versions: dict[int, int] = {}
-
-    def block_version(self, block: int) -> int:
-        """Monotone counter of residency/state changes for one block."""
-        return self.block_versions.get(block, 0)
-
-    def _touch_block(self, block: int) -> None:
-        self.block_versions[block] = self.block_versions.get(block, 0) + 1
 
     # -- geometry ------------------------------------------------------------
     def set_index(self, block: int) -> int:
@@ -100,8 +82,6 @@ class SetAssociativeCache:
         place (used for upgrades) and evicts nothing.
         """
         cset = self._sets[self.set_index(block)]
-        self.version += 1
-        self._touch_block(block)
         existing = cset.get(block)
         if existing is not None:
             existing.state = state
@@ -111,17 +91,12 @@ class SetAssociativeCache:
         victim: CacheLine | None = None
         if len(cset) >= self.assoc:
             _, victim = cset.popitem(last=False)  # least recently used
-            self._touch_block(victim.block)
         cset[block] = CacheLine(block=block, state=state, dirty=dirty)
         return victim
 
     def invalidate(self, block: int) -> CacheLine | None:
         """Remove ``block`` if resident; return the removed line."""
-        line = self._sets[self.set_index(block)].pop(block, None)
-        if line is not None:
-            self.version += 1
-            self._touch_block(block)
-        return line
+        return self._sets[self.set_index(block)].pop(block, None)
 
     def downgrade(self, block: int) -> bool:
         """EXCLUSIVE -> SHARED; return whether the line was dirty."""
@@ -131,8 +106,6 @@ class SetAssociativeCache:
         was_dirty = line.dirty
         line.state = LineState.SHARED
         line.dirty = False
-        self.version += 1
-        self._touch_block(block)
         return was_dirty
 
     def snapshot_lines(self) -> list[tuple[int, str, bool]]:
@@ -147,10 +120,7 @@ class SetAssociativeCache:
     def restore_lines(self, lines: list[tuple[int, str, bool]]) -> None:
         """Rebuild residency from :meth:`snapshot_lines` output.  Inserting
         in snapshot order reproduces the per-set LRU order exactly."""
-        self.version += 1
         for cset in self._sets:
-            for block in cset:
-                self._touch_block(block)
             cset.clear()
         for block, state, dirty in lines:
             self.insert(int(block), LineState(state), bool(dirty))
@@ -165,10 +135,6 @@ class SetAssociativeCache:
 
         with hostprof.perf_region("cache"):
             flushed = [line for cset in self._sets for line in cset.values()]
-            if flushed:
-                self.version += 1
-            for line in flushed:
-                self._touch_block(line.block)
             for cset in self._sets:
                 cset.clear()
             return flushed

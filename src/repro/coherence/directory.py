@@ -39,19 +39,6 @@ class DirEntry:
     count: int = 0  # RO sharer counter (hardware)
     ptr: int | None = None  # valid iff (RO and count == 1) or RW
     sharers: set[int] = field(default_factory=set)  # oracle, for simulation
-    #: monotone change counter, bumped on every field write (see
-    #: __setattr__) — the memoization key of the verify property cache.
-    #: Excluded from __eq__/__repr__ so two entries in the same coherence
-    #: state still compare equal regardless of their histories.
-    version: int = field(default=0, compare=False, repr=False)
-
-    def __setattr__(self, name, value) -> None:
-        object.__setattr__(self, name, value)
-        if name != "version":
-            try:
-                object.__setattr__(self, "version", self.version + 1)
-            except AttributeError:
-                pass  # still inside __init__, version slot not filled yet
 
     # -- invariants ---------------------------------------------------------
     def check(self) -> None:
@@ -76,25 +63,10 @@ class DirEntry:
 
 
 class Directory:
-    """All directory entries of the machine, created on demand.
-
-    Besides the per-entry change counters (:attr:`DirEntry.version`), the
-    directory tracks a per-*node* membership version: bumped every time a
-    node enters or leaves any entry's sharer set.  The verify property
-    cache keys its reverse (cache → directory) scan of a node on this, so
-    an unchanged node is never re-walked at a barrier.
-    """
+    """All directory entries of the machine, created on demand."""
 
     def __init__(self) -> None:
         self._entries: dict[int, DirEntry] = {}
-        self._node_versions: dict[int, int] = {}
-
-    def node_version(self, node: int) -> int:
-        """Monotone counter of ``node``'s sharer-set membership changes."""
-        return self._node_versions.get(node, 0)
-
-    def _touch_node(self, node: int) -> None:
-        self._node_versions[node] = self._node_versions.get(node, 0) + 1
 
     def entry(self, block: int) -> DirEntry:
         entry = self._entries.get(block)
@@ -119,7 +91,6 @@ class Directory:
         entry.count = len(entry.sharers)
         entry.state = DirState.RO
         entry.ptr = node if entry.count == 1 else None
-        self._touch_node(node)
         return entry
 
     def make_owner(self, block: int, node: int) -> DirEntry:
@@ -133,7 +104,6 @@ class Directory:
         entry.sharers = {node}
         entry.count = 1
         entry.ptr = node
-        self._touch_node(node)
         return entry
 
     def drop(self, block: int, node: int) -> DirEntry:
@@ -143,7 +113,6 @@ class Directory:
             raise ProtocolError(f"drop({block}, {node}): not a holder ({entry})")
         entry.sharers.discard(node)
         entry.count = len(entry.sharers)
-        self._touch_node(node)
         if entry.count == 0:
             entry.state = DirState.IDLE
             entry.ptr = None
@@ -160,6 +129,4 @@ class Directory:
         entry.count = 0
         entry.state = DirState.IDLE
         entry.ptr = None
-        for holder in holders:
-            self._touch_node(holder)
         return holders

@@ -531,33 +531,14 @@ class Dir1SWProtocol:
 
     # ------------------------------------------------------------ checking
     def invariant_check(self) -> None:
-        """Cross-check caches against the directory (used heavily by tests)."""
-        for block, entry in self.directory.entries().items():
-            entry.check()
-            for holder in entry.sharers:
-                line = self.caches[holder].lookup(block)
-                if line is None:
-                    raise ProtocolError(
-                        f"directory lists node {holder} for block {block} "
-                        f"but its cache has no line"
-                    )
-                want = (
-                    LineState.EXCLUSIVE
-                    if entry.state is DirState.RW
-                    else LineState.SHARED
-                )
-                if line.state is not want:
-                    raise ProtocolError(
-                        f"block {block}: node {holder} line is {line.state}, "
-                        f"directory says {entry.state}"
-                    )
-        for node, cache in enumerate(self.caches):
-            for line in cache.lines():
-                entry = self.directory.peek(line.block)
-                if entry is None or node not in entry.sharers:
-                    raise ProtocolError(
-                        f"node {node} caches block {line.block} unknown to directory"
-                    )
+        """Raise :class:`ProtocolError` if the caches and the directory
+        break the whole-state check of :mod:`repro.verify.invariants`
+        (used heavily by tests)."""
+        from repro.verify.invariants import check_state
+
+        finding = check_state(self)
+        if finding is not None:
+            raise ProtocolError(finding.message)
 
     # ----------------------------------------------------------- checkpoint
     def snapshot_state(self) -> dict:

@@ -13,14 +13,12 @@ from repro.machine.events import (
     DIR_PREFETCH_S,
     DIR_PREFETCH_X,
 )
-from repro.machine.machine import Machine, RunListener, RunResult, subscribe_listener
+from repro.machine.machine import Machine, RunResult
 
 __all__ = [
     "MachineConfig",
     "Machine",
-    "RunListener",
     "RunResult",
-    "subscribe_listener",
     "EV_BARRIER",
     "EV_DIRECTIVE",
     "EV_LOCK",

@@ -18,8 +18,7 @@ Responsibilities:
   crossings, lock traffic, node completion — on an
   :class:`~repro.obs.events.EventBus` (Section 3.3's trace collector is one
   subscriber; so are the metrics/timeline/Chrome-trace layers of
-  ``repro.obs``).  The legacy :class:`RunListener` protocol is kept as a
-  thin bridge: a listener is subscribed to the bus like everything else.
+  ``repro.obs``).
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.cache.stats import CacheStats
 from repro.coherence.messages import MessageKind
-from repro.coherence.protocol import AccessKind, AccessResult, Dir1SWProtocol
+from repro.coherence.protocol import Dir1SWProtocol
 from repro.errors import BarrierError, CheckpointError, MachineError, WatchdogError
 from repro.machine.config import MachineConfig
 from repro.obs import hostprof
@@ -63,37 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: snapshot format version written by :meth:`Machine.snapshot`
 SNAPSHOT_VERSION = 1
-
-
-class RunListener(Protocol):
-    """Legacy observer interface (misses + barriers only).
-
-    Superseded by the event bus; kept because it is a convenient minimal
-    surface for tests and simple probes.  A listener passed to
-    :class:`Machine` is bridged onto the bus and sees exactly what it
-    always did: non-hit accesses and barrier crossings.
-    """
-
-    def on_access(
-        self, node: int, epoch: int, addr: int, pc: int, result: AccessResult
-    ) -> None: ...
-
-    def on_barrier(self, epoch: int, vt: int, node_pcs: dict[int, int]) -> None: ...
-
-
-def subscribe_listener(bus: EventBus, listener: RunListener) -> int:
-    """Bridge a legacy :class:`RunListener` onto an event bus."""
-
-    def forward(event) -> None:
-        if isinstance(event, AccessEvent):
-            if event.result.kind is not AccessKind.HIT:
-                listener.on_access(
-                    event.node, event.epoch, event.addr, event.pc, event.result
-                )
-        else:
-            listener.on_barrier(event.epoch, event.vt, event.node_pcs)
-
-    return bus.subscribe((EventKind.ACCESS, EventKind.BARRIER), forward)
 
 
 @dataclass
@@ -146,8 +114,8 @@ class _NodeState:
 
 
 class Machine:
-    def __init__(self, config: MachineConfig, listener: RunListener | None = None,
-                 flush_at_barrier: bool = False, bus: EventBus | None = None,
+    def __init__(self, config: MachineConfig, *, flush_at_barrier: bool = False,
+                 bus: EventBus | None = None,
                  faults: "FaultInjector | None" = None):
         self.config = config
         self.bus = bus if bus is not None else EventBus()
@@ -167,9 +135,6 @@ class Machine:
             faults=faults,
         )
         self.faults = faults
-        self.listener = listener
-        if listener is not None:
-            subscribe_listener(self.bus, listener)
         self.flush_at_barrier = flush_at_barrier
         self.epoch = 0
         self._block_shift = config.block_size.bit_length() - 1

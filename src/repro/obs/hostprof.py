@@ -40,11 +40,20 @@ nothing else — no timestamps, no allocation.  Publishers use the pattern::
 
 or, on low-frequency paths, ``with hostprof.perf_region("cache"): ...``
 (which returns a shared no-op context manager while disabled).
+
+Thread affinity
+---------------
+:data:`ACTIVE` is process-global, but a profiler accounts for one thread:
+the one that started it.  Calls from any other thread — a second
+simulation running beside the profiled one, as under ``repro-serve
+--workers 2`` — are ignored, so they can neither unbalance its region
+stack nor move its epoch.
 """
 
 from __future__ import annotations
 
 import threading
+from threading import get_ident
 from time import perf_counter_ns
 
 from repro.errors import ObsError
@@ -154,6 +163,7 @@ class HostProfiler:
         self._last = 0  # ns timestamp of the most recent credit
         self._started = False
         self._total_ns = 0
+        self._owner: int | None = None  # thread ident that started it
 
     # --------------------------------------------------------- accounting
     def _credit(self, now: int) -> None:
@@ -163,10 +173,12 @@ class HostProfiler:
         self._last = now
 
     def start(self) -> None:
-        """Open the accounting window (idempotent)."""
+        """Open the accounting window (idempotent) for the calling thread:
+        from here on, push/pop/set_epoch from other threads are ignored."""
         if self._started:
             return
         self._started = True
+        self._owner = get_ident()
         self._stack = ["other"]
         self._last = perf_counter_ns()
         self._t0 = self._last
@@ -190,16 +202,22 @@ class HostProfiler:
             self.sampler.stop()
 
     def push(self, phase: str) -> None:
+        if get_ident() != self._owner:
+            return
         self._credit(perf_counter_ns())
         self._stack.append(phase)
 
     def pop(self) -> None:
+        if get_ident() != self._owner:
+            return
         self._credit(perf_counter_ns())
         self._stack.pop()
 
     def set_epoch(self, epoch: int) -> None:
         """Epoch boundary: split the open region at this instant so the
         per-epoch columns conserve exactly too."""
+        if get_ident() != self._owner:
+            return
         self._credit(perf_counter_ns())
         self.epoch = epoch
 

@@ -85,17 +85,9 @@ class Histogram:
     def quantile(self, q: float) -> int | None:
         """Upper bound of the bucket holding the q-quantile observation
         (the exact max for the overflow bucket).  None on an empty histogram."""
-        if not self.count:
-            return None
-        if not 0.0 <= q <= 1.0:
-            raise MetricsError(f"quantile {q} outside [0, 1]")
-        rank = max(1, round(q * self.count))
-        running = 0
-        for i, n in enumerate(self.counts):
-            running += n
-            if running >= rank:
-                return self.bounds[i] if i < len(self.bounds) else self.max
-        return self.max
+        return bucket_quantile(
+            zip(self.bounds, self.counts), self.count, self.max, q
+        )
 
     def snapshot(self) -> dict:
         return {
@@ -106,6 +98,25 @@ class Histogram:
             "buckets": dict(zip(self.bounds, self.counts)),
             "overflow": self.counts[-1],
         }
+
+
+def bucket_quantile(buckets, count: int, maximum, q: float):
+    """The q-quantile of a fixed-bucket histogram: the upper bound of the
+    bucket holding the rank-``round(q * count)`` observation, or
+    ``maximum`` when that observation lies past the last bound (the
+    overflow bucket).  ``buckets`` yields ``(bound, n)`` pairs in
+    increasing bound order.  None when ``count`` is 0."""
+    if not count:
+        return None
+    if not 0.0 <= q <= 1.0:
+        raise MetricsError(f"quantile {q} outside [0, 1]")
+    rank = max(1, round(q * count))
+    running = 0
+    for bound, n in buckets:
+        running += n
+        if running >= rank:
+            return bound
+    return maximum
 
 
 class MetricsRegistry:

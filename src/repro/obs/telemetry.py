@@ -35,7 +35,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.metrics import Counter, Gauge, MetricsError, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    MetricsError,
+    MetricsRegistry,
+    bucket_quantile,
+)
 
 #: HTTP request latency buckets (microseconds): loopback JSON round trips.
 HTTP_LATENCY_BUCKETS_US = (
@@ -104,23 +110,31 @@ def family_counts(snapshot: dict, family: str) -> dict[str, int | dict]:
 
 
 def snapshot_quantile(snap: dict, q: float) -> float | None:
-    """Quantile from a histogram *snapshot* dict (mirrors
+    """Quantile from a histogram *snapshot* dict (the same bucket walk as
     :meth:`~repro.obs.metrics.Histogram.quantile`, but works after a JSON
     round trip where bucket bounds became strings)."""
     count = snap.get("count", 0)
     if not count:
         return None
-    buckets = sorted(
-        ((float(bound), n) for bound, n in snap["buckets"].items()),
-        key=lambda item: item[0],
-    )
-    rank = max(1, round(q * count))
-    running = 0
-    for bound, n in buckets:
-        running += n
-        if running >= rank:
-            return bound
-    return float(snap["max"])
+    buckets = sorted((float(bound), n) for bound, n in snap["buckets"].items())
+    return bucket_quantile(buckets, count, float(snap["max"]), q)
+
+
+def latency_rows(snapshot: dict, family: str) -> list[list]:
+    """``[label, count, p50, p90, p99, max]`` for each series of a latency
+    histogram family, sorted by label ("-" for an empty quantile).  These
+    are the rows both ``/ops.html`` and ``repro-client top`` render, so the
+    two show the same numbers for the same snapshot."""
+    rows = []
+    for labels, hist in sorted(family_counts(snapshot, family).items()):
+        label = labels.split('"')[1] if '"' in labels else labels
+        quantiles = [snapshot_quantile(hist, q) for q in (0.5, 0.9, 0.99)]
+        rows.append([
+            label, hist["count"],
+            *("-" if value is None else value for value in quantiles),
+            hist["max"],
+        ])
+    return rows
 
 
 # -------------------------------------------------------- prometheus render
@@ -526,6 +540,7 @@ __all__ = [
     "family_counts",
     "job_phase",
     "labelled",
+    "latency_rows",
     "prometheus_text",
     "snapshot_quantile",
     "split_labelled",

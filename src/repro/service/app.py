@@ -260,11 +260,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], queue: JobQueue,
-                 verbose: bool = False):
+    def __init__(self, address: tuple[str, int], queue: JobQueue):
         super().__init__(address, ServiceHandler)
         self.queue = queue
-        self.verbose = verbose
         self.log = get_logger("repro.service.http")
 
     def handle_error(self, request, client_address) -> None:
@@ -275,13 +273,13 @@ class ServiceServer(ThreadingHTTPServer):
         )
 
 
-def serve(queue: JobQueue, host: str = "127.0.0.1", port: int = 0,
-          verbose: bool = False) -> ServiceServer:
+def serve(queue: JobQueue, host: str = "127.0.0.1",
+          port: int = 0) -> ServiceServer:
     """Bind the server (``port=0`` picks a free port; the bound one is on
     ``server.server_address``) and start the queue's workers.  The caller
     owns the accept loop: ``server.serve_forever()``."""
     try:
-        server = ServiceServer((host, port), queue, verbose=verbose)
+        server = ServiceServer((host, port), queue)
     except OSError as exc:
         raise ServiceError(f"cannot bind {host}:{port}: {exc}") from None
     queue.start()

@@ -46,8 +46,6 @@ def _serve(argv: Sequence[str] | None) -> int:
                         "served simulations")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="interrupted attempts before a job is abandoned")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request (DEBUG shorthand)")
     parser.add_argument("--log-file",
                         help="write JSONL logs here instead of stderr")
     parser.add_argument("--log-level", default="INFO", choices=LOG_LEVELS,
@@ -70,8 +68,7 @@ def _serve(argv: Sequence[str] | None) -> int:
     from repro.service.queue import JobQueue, ServiceConfig
     from repro.util.atomic_write import atomic_write_json
 
-    level = "DEBUG" if args.verbose else args.log_level
-    configure_logging(level=level, path=args.log_file)
+    configure_logging(level=args.log_level, path=args.log_file)
     log = get_logger("repro.service")
 
     data_dir = Path(args.data_dir)
@@ -85,7 +82,7 @@ def _serve(argv: Sequence[str] | None) -> int:
         telemetry=not args.no_telemetry,
         history_path=args.history_path,
     ))
-    server = serve(queue, args.host, args.port, verbose=args.verbose)
+    server = serve(queue, args.host, args.port)
     host, port = server.server_address[:2]
     url = f"http://{host}:{port}"
     atomic_write_json(
@@ -100,7 +97,7 @@ def _serve(argv: Sequence[str] | None) -> int:
     log.info(
         "daemon listening", url=url, data_dir=str(data_dir),
         workers=queue.config.workers, telemetry=queue.telemetry.enabled,
-        log_level=level,
+        log_level=args.log_level,
     )
 
     def _shutdown(signum, frame):
@@ -172,7 +169,7 @@ def _dump(payload) -> None:
 def _render_top(status: dict, metrics: dict) -> str:
     """``repro-client top``: the ops dashboard as fixed-width tables."""
     from repro.harness.reporting import render_table
-    from repro.obs.telemetry import family_counts, snapshot_quantile
+    from repro.obs.telemetry import family_counts, latency_rows
 
     jobs = status["jobs"]
     stats = status["stats"]
@@ -193,32 +190,16 @@ def _render_top(status: dict, metrics: dict) -> str:
     ]
     snap = metrics.get("metrics") or {}
     if snap:
-        def quantiles(hist):
-            return [
-                "-" if (q := snapshot_quantile(hist, frac)) is None else q
-                for frac in (0.5, 0.9, 0.99)
-            ]
-
-        job_rows = [
-            [labels.split('"')[1], hist["count"], *quantiles(hist)]
-            for labels, hist in sorted(
-                family_counts(snap, "service.job.latency_ms").items()
-            )
-        ]
+        job_rows = latency_rows(snap, "service.job.latency_ms")
         if job_rows:
             parts.append(render_table(
-                ["kind", "jobs", "p50_ms", "p90_ms", "p99_ms"], job_rows,
-                title="job latency",
+                ["kind", "jobs", "p50_ms", "p90_ms", "p99_ms", "max_ms"],
+                job_rows, title="job latency",
             ))
-        http_rows = [
-            [labels.split('"')[1], hist["count"], *quantiles(hist)]
-            for labels, hist in sorted(
-                family_counts(snap, "service.http.latency_us").items()
-            )
-        ]
+        http_rows = latency_rows(snap, "service.http.latency_us")
         if http_rows:
             parts.append(render_table(
-                ["route", "requests", "p50_us", "p90_us", "p99_us"],
+                ["route", "requests", "p50_us", "p90_us", "p99_us", "max_us"],
                 http_rows, title="http latency",
             ))
         counter_rows = [

@@ -193,7 +193,7 @@ def render_ops(status: dict, metrics: dict) -> str:
     so the HTML view, ``repro-client top`` and a Prometheus scrape can
     never disagree about the numbers.
     """
-    from repro.obs.telemetry import family_counts, snapshot_quantile
+    from repro.obs.telemetry import family_counts, latency_rows
 
     jobs = status["jobs"]
     stats = status["stats"]
@@ -225,32 +225,18 @@ def render_ops(status: dict, metrics: dict) -> str:
                     "(<code>repro-serve --no-telemetry</code>).</p>")
         return page("repro.service ops", "\n".join(body))
 
-    def first_label(labels: str) -> str:
-        return labels.split('"')[1] if '"' in labels else labels
-
-    def quantiles(hist: dict) -> list[object]:
-        out: list[object] = []
-        for frac in (0.5, 0.9, 0.99):
-            q = snapshot_quantile(hist, frac)
-            out.append("-" if q is None else q)
-        return out
-
-    job_hists = family_counts(snap, "service.job.latency_ms")
-    if any(h["count"] for h in job_hists.values()):
+    job_rows = latency_rows(snap, "service.job.latency_ms")
+    if job_rows:
         body.append(html_table(
             ["kind", "jobs", "p50 (ms)", "p90 (ms)", "p99 (ms)", "max (ms)"],
-            [[first_label(labels), hist["count"], *quantiles(hist),
-              hist["max"]]
-             for labels, hist in sorted(job_hists.items())],
-            title="job execution latency",
+            job_rows, title="job execution latency",
         ))
-    http_hists = family_counts(snap, "service.http.latency_us")
-    if http_hists:
+    http_rows = latency_rows(snap, "service.http.latency_us")
+    if http_rows:
         body.append(html_table(
-            ["route", "requests", "p50 (µs)", "p90 (µs)", "p99 (µs)"],
-            [[first_label(labels), hist["count"], *quantiles(hist)]
-             for labels, hist in sorted(http_hists.items())],
-            title="HTTP request latency",
+            ["route", "requests", "p50 (µs)", "p90 (µs)", "p99 (µs)",
+             "max (µs)"],
+            http_rows, title="HTTP request latency",
         ))
     counter_rows = []
     for family in ("service.submissions", "service.jobs.completed",

@@ -5,8 +5,7 @@ dumped it to the trace file at each synchronisation barrier, flushing every
 node's shared-data cache so the next epoch's first touches would miss again.
 :class:`TraceCollector` reproduces that.  It consumes the machine's event
 bus — call :meth:`TraceCollector.subscribe` on the bus of a
-``Machine(..., flush_at_barrier=True)`` — and still implements the legacy
-:class:`~repro.machine.machine.RunListener` surface for direct use.
+``Machine(..., flush_at_barrier=True)``.
 
 As in the paper, at most one record is kept per (node, address, kind) per
 epoch — it is a hash table keyed by the access, not an ordered log — and
@@ -15,7 +14,7 @@ within an epoch no ordering is preserved.
 
 from __future__ import annotations
 
-from repro.coherence.protocol import AccessKind, AccessResult
+from repro.coherence.protocol import AccessKind
 from repro.mem.labels import LabelTable
 from repro.obs.events import AccessEvent, BarrierEvent, EventBus, EventKind
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
@@ -49,26 +48,20 @@ class TraceCollector:
         ]
 
     def _on_access_event(self, event: AccessEvent) -> None:
-        if event.result.kind is not AccessKind.HIT:
-            self.on_access(event.node, event.epoch, event.addr, event.pc,
-                           event.result)
+        kind = event.result.kind
+        if kind is AccessKind.HIT:
+            return
+        self._current_epoch = event.epoch
+        self._epoch_table.setdefault(
+            (event.node, event.addr, MissKind.from_access(kind)), event.pc
+        )
 
     def _on_barrier_event(self, event: BarrierEvent) -> None:
-        self.on_barrier(event.epoch, event.vt, event.node_pcs)
-
-    # ---------------------------------------------------------- listener API
-    def on_access(
-        self, node: int, epoch: int, addr: int, pc: int, result: AccessResult
-    ) -> None:
-        kind = MissKind.from_access(result.kind)
-        self._current_epoch = epoch
-        self._epoch_table.setdefault((node, addr, kind), pc)
-
-    def on_barrier(self, epoch: int, vt: int, node_pcs: dict[int, int]) -> None:
+        epoch = event.epoch
         self._dump_epoch(epoch)
-        for node, pc in sorted(node_pcs.items()):
+        for node, pc in sorted(event.node_pcs.items()):
             self._barriers.append(
-                BarrierRecord(node=node, barrier_pc=pc, vt=vt, epoch=epoch)
+                BarrierRecord(node=node, barrier_pc=pc, vt=event.vt, epoch=epoch)
             )
         self._current_epoch = epoch + 1
 

@@ -13,13 +13,13 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 
 
-def run(program, nodes=2, params_fn=None, flush=False, listener=None, **cfg_kw):
+def run(program, nodes=2, params_fn=None, flush=False, **cfg_kw):
     cfg = MachineConfig(
         num_nodes=nodes, cache_size=4096, block_size=32, assoc=2, **cfg_kw
     )
     store = SharedStore(program, block_size=cfg.block_size)
     interp = Interpreter(program, store, params_fn=params_fn)
-    machine = Machine(cfg, listener=listener, flush_at_barrier=flush)
+    machine = Machine(cfg, flush_at_barrier=flush)
     result = machine.run(interp.kernel)
     return result, store
 
@@ -221,7 +221,9 @@ class TestTraceIntegration:
         store = SharedStore(program, block_size=32)
         collector = TraceCollector(labels=store.labels, block_size=32, num_nodes=2)
         interp = Interpreter(program, store)
-        Machine(cfg, listener=collector, flush_at_barrier=True).run(interp.kernel)
+        machine = Machine(cfg, flush_at_barrier=True)
+        collector.subscribe(machine.bus)
+        machine.run(interp.kernel)
         trace = collector.finish()
 
         assert trace.num_epochs() == 2

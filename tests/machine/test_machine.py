@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.coherence.costs import CostModel
-from repro.coherence.protocol import AccessKind
 from repro.errors import BarrierError, MachineError
 from repro.machine.config import MachineConfig
 from repro.machine.events import (
@@ -18,6 +17,9 @@ from repro.machine.events import (
     EV_UNLOCK,
 )
 from repro.machine.machine import Machine
+from repro.obs.events import EventKind
+from repro.trace.collector import TraceCollector
+from repro.trace.records import MissKind, MissRecord
 
 BASE = 0x1000_0000
 COST = CostModel()
@@ -70,18 +72,15 @@ class TestInterleaving:
         """Node 1 computes less before its write, so it wins the race."""
         order = []
 
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
-
         def kernel(nid):
             compute = 5 if nid == 1 else 50
             yield (EV_REF, compute, BASE, True, 1)
 
-        Machine(config(), listener=Listener()).run(kernel)
+        machine = Machine(config())
+        machine.bus.subscribe(
+            (EventKind.ACCESS,), lambda ev: order.append(ev.node)
+        )
+        machine.run(kernel)
         assert order == [1, 0]
 
 
@@ -111,18 +110,16 @@ class TestBarriers:
     def test_listener_sees_barrier_vt_and_pcs(self):
         events = []
 
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                pass
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                events.append((epoch, vt, dict(node_pcs)))
-
         def kernel(nid):
             yield (EV_REF, 10 + nid, -1, False, -1)
             yield (EV_BARRIER, 0, 42)
 
-        Machine(config(), listener=Listener()).run(kernel)
+        machine = Machine(config())
+        machine.bus.subscribe(
+            (EventKind.BARRIER,),
+            lambda ev: events.append((ev.epoch, ev.vt, dict(ev.node_pcs))),
+        )
+        machine.run(kernel)
         assert events == [(0, 11, {0: 42, 1: 42})]
 
     def test_unbalanced_barrier_deadlocks(self):
@@ -224,23 +221,17 @@ class TestLocks:
 
 class TestListenerMisses:
     def test_listener_sees_misses_not_hits(self):
-        seen = []
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                seen.append((node, epoch, addr, pc, result.kind))
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
-
         def kernel(nid):
             if nid == 0:
                 yield (EV_REF, 0, BASE, False, 7)
                 yield (EV_REF, 0, BASE, False, 8)  # hit: not reported
                 yield (EV_REF, 0, BASE, True, 9)  # write fault
 
-        Machine(config(), listener=Listener()).run(kernel)
-        assert seen == [
-            (0, 0, BASE, 7, AccessKind.READ_MISS),
-            (0, 0, BASE, 9, AccessKind.WRITE_FAULT),
+        machine = Machine(config())
+        collector = TraceCollector(num_nodes=2)
+        collector.subscribe(machine.bus)
+        machine.run(kernel)
+        assert collector.finish().misses == [
+            MissRecord(MissKind.READ_MISS, BASE, 7, 0, 0),
+            MissRecord(MissKind.WRITE_FAULT, BASE, 9, 0, 0),
         ]

@@ -19,6 +19,7 @@ from repro.machine.events import (
     EV_UNLOCK,
 )
 from repro.machine.machine import Machine
+from repro.obs.events import EventKind
 
 BASE = 0x1000_0000
 
@@ -26,6 +27,13 @@ BASE = 0x1000_0000
 def config(nodes=2, **kw):
     return MachineConfig(num_nodes=nodes, cache_size=4096, block_size=32,
                          assoc=2, **kw)
+
+
+def run_recording_order(kernel, order: list) -> None:
+    """Run ``kernel``, appending each access's node to ``order``."""
+    machine = Machine(config())
+    machine.bus.subscribe((EventKind.ACCESS,), lambda ev: order.append(ev.node))
+    machine.run(kernel)
 
 
 class TestDeterminism:
@@ -137,36 +145,22 @@ class TestComputeDefer:
         race to a node with light compute, regardless of node ids."""
         order = []
 
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
-
         def kernel(nid):
             compute = [100, 7][nid]
             yield (EV_REF, compute, BASE, True, 1)
 
-        Machine(config(), listener=Listener()).run(kernel)
+        run_recording_order(kernel, order)
         assert order == [1, 0]
 
     def test_interleaved_fairness(self):
         """Two equal-rate nodes alternate rather than one running ahead."""
         order = []
 
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                order.append(node)
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                pass
-
         def kernel(nid):
             for i in range(4):
                 yield (EV_REF, 10, BASE + 32 * (nid * 4 + i), False, i)
 
-        Machine(config(), listener=Listener()).run(kernel)
+        run_recording_order(kernel, order)
         # Neither node gets more than one access ahead.
         counts = {0: 0, 1: 0}
         for node in order:

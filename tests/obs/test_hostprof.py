@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -240,3 +241,90 @@ def test_observed_run_without_hostprof_attaches_nothing():
     observer = Observer(chrome=False)
     run_program(spec.program, spec.config, spec.params_fn, observer=observer)
     assert observer.observation.hostprof is None
+
+
+# ---------------------------------------------------- thread affinity
+def test_calls_from_another_thread_are_ignored():
+    """A second thread that picked up the active profiler — as every
+    instrumentation point does — neither raises nor moves the profiled
+    thread's accounting, even when its pop lands after the stop."""
+    prof = HostProfiler()
+    grabbed, stopped = threading.Event(), threading.Event()
+    errors: list[BaseException] = []
+
+    def other_thread():
+        try:
+            other = hostprof.ACTIVE
+            other.push("network")
+            other.set_epoch(99)
+            grabbed.set()
+            stopped.wait(5)
+            other.pop()  # the stack it would pop is long gone
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+            grabbed.set()
+
+    with prof.running():
+        with perf_region("machine"):
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            assert grabbed.wait(5)
+            spin()
+            prof.set_epoch(1)
+            spin()
+    stopped.set()
+    worker.join(5)
+    assert not worker.is_alive()
+    assert errors == []
+    report = prof.report()
+    assert report["conserved"] is True
+    assert [e["epoch"] for e in report["epochs"]] == [0, 1]
+    assert "network" not in report["phases"]
+
+
+def test_simulation_beside_a_profiled_run():
+    """A trace run looping in another thread while a profiled run
+    executes: the other thread never raises and the profiled report
+    conserves and counts only its own epochs."""
+    from repro.harness.runner import run_program, trace_program
+    from repro.obs.session import Observer
+    from repro.workloads.base import get_workload
+
+    other_spec, spec = get_workload("ocean"), get_workload("mp3d")
+    running, done = threading.Event(), threading.Event()
+    errors: list[BaseException] = []
+
+    def other_thread():
+        try:
+            while not done.is_set():
+                running.set()
+                trace_program(
+                    other_spec.program, other_spec.config,
+                    other_spec.params_fn,
+                )
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+            running.set()
+
+    worker = threading.Thread(target=other_thread)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two runs finely
+    worker.start()
+    try:
+        assert running.wait(30)
+        for _ in range(3):
+            observer = Observer(chrome=False, hostprof=True)
+            result, _ = run_program(
+                spec.program, spec.config, spec.params_fn, observer=observer
+            )
+            report = observer.observation.hostprof
+            assert report["conserved"] is True
+            assert {e["epoch"] for e in report["epochs"]} <= set(
+                range(result.epochs + 1)
+            )
+    finally:
+        done.set()
+        worker.join(30)
+        sys.setswitchinterval(switch)
+    assert not worker.is_alive()
+    assert errors == []

@@ -320,25 +320,3 @@ class TestEpochTimes:
 
         _, result = collect((), kernel)
         assert result.epoch_times() == [result.cycles]
-
-
-class TestLegacyListenerBridge:
-    def test_listener_still_sees_misses_and_barriers(self):
-        seen = {"access": [], "barrier": []}
-
-        class Listener:
-            def on_access(self, node, epoch, addr, pc, result):
-                seen["access"].append((node, addr, result.kind))
-
-            def on_barrier(self, epoch, vt, node_pcs):
-                seen["barrier"].append(epoch)
-
-        def kernel(nid):
-            if nid == 0:
-                yield (EV_REF, 0, BASE, False, 1)
-                yield (EV_REF, 0, BASE, False, 2)  # hit: listener filtered
-            yield (EV_BARRIER, 0, 3)
-
-        Machine(config(), listener=Listener()).run(kernel)
-        assert seen["access"] == [(0, BASE, AccessKind.READ_MISS)]
-        assert seen["barrier"] == [0]

@@ -224,6 +224,59 @@ def test_ops_page_and_top_snapshot(live):
     assert "/api/jobs/{id}" in top  # templated routes, not raw paths
 
 
+def test_ops_page_and_top_render_identical_latency_cells():
+    """Both dashboards render the shared latency rows: for the same
+    (JSON round-tripped) snapshot every quantile cell is byte-identical."""
+    import json
+
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.telemetry import (
+        HTTP_LATENCY_BUCKETS_US,
+        JOB_LATENCY_BUCKETS_MS,
+        latency_rows,
+    )
+    from repro.service.reports import render_ops
+
+    registry = MetricsRegistry()
+    for name, bounds, values in (
+        (labelled("service.job.latency_ms", kind="annotate"),
+         JOB_LATENCY_BUCKETS_MS, (3, 40, 41, 900)),
+        (labelled("service.job.latency_ms", kind="bench"),
+         JOB_LATENCY_BUCKETS_MS, (10**9,)),  # overflow: exact max
+        (labelled("service.http.latency_us", route="/api/jobs/{id}"),
+         HTTP_LATENCY_BUCKETS_US, (120, 95, 4000)),
+    ):
+        hist = registry.histogram(name, bounds)
+        for value in values:
+            hist.observe(value)
+    metrics = json.loads(json.dumps(
+        {"enabled": True, "metrics": registry.snapshot()}
+    ))
+    status = {
+        "version": "0", "uptime_s": 1.0, "workers": 1, "telemetry": True,
+        "jobs": {"queued": 0, "running": 0, "done": 5, "failed": 0},
+        "stats": {"submitted": 5, "cache_hits": 0, "failed": 0},
+    }
+    html = render_ops(status, metrics)
+    html_rows = [
+        re.findall(r"<td[^>]*>(.*?)</td>", tr)
+        for tr in re.findall(r"<tr>(.*?)</tr>", html)
+    ]
+    top_rows = [
+        re.split(r"\s{2,}", line.strip())
+        for line in _render_top(status, metrics).splitlines()
+    ]
+    expected = [
+        [str(cell) if not isinstance(cell, float) else f"{cell:.3f}"
+         for cell in row]
+        for family in ("service.job.latency_ms", "service.http.latency_us")
+        for row in latency_rows(metrics["metrics"], family)
+    ]
+    assert len(expected) == 3
+    for row in expected:
+        assert row in html_rows and row in top_rows, row
+
+
 # ---------------------------------------------------------------- disabled
 def test_disabled_telemetry_serves_but_collects_nothing(tmp_path):
     queue = JobQueue(ServiceConfig(data_dir=str(tmp_path), telemetry=False))

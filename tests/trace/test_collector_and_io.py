@@ -25,7 +25,9 @@ BASE = 0x1000_0000
 def run_traced(kernel, nodes=2):
     cfg = MachineConfig(num_nodes=nodes, cache_size=4096, block_size=32, assoc=2)
     collector = TraceCollector(block_size=32, num_nodes=nodes)
-    Machine(cfg, listener=collector, flush_at_barrier=True).run(kernel)
+    machine = Machine(cfg, flush_at_barrier=True)
+    collector.subscribe(machine.bus)
+    machine.run(kernel)
     return collector.finish()
 
 

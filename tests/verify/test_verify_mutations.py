@@ -110,8 +110,9 @@ def test_barrier_scan_catches_silent_corruption():
     with pytest.raises(VerifyError) as excinfo:
         machine.run(kernel)
     exc = excinfo.value
-    assert exc.invariant in ("swmr", "dir-cache-agreement")
-    assert exc.epoch == 0
+    assert exc.invariant == "dir-cache-agreement"
+    assert (exc.node, exc.epoch, exc.block) == (1, 0, 0)
+    assert "unknown to directory" in str(exc)
 
 
 def test_seeded_premature_check_in_strict():
