@@ -182,6 +182,31 @@ def test_rogue_cache_line_caught_at_next_barrier():
     assert "unknown to directory" in str(exc)
 
 
+def test_corrupt_run_rejected_alike_by_checker_and_self_check():
+    """One corrupt state, two consumers of the library: the online
+    checker's barrier scan and the protocol's self-check reject it with
+    the same invariant, coordinates and message."""
+    machine, _ = _machine()
+
+    def kernel(nid):
+        if nid == 0:
+            yield (EV_REF, 1, 0, True, 11)
+            machine.protocol.caches[1].insert(0, LineState.EXCLUSIVE)
+        yield (EV_BARRIER, 0, 12)
+
+    with pytest.raises(VerifyError) as excinfo:
+        machine.run(kernel)
+    online = excinfo.value
+    finding = check_state(machine.protocol)
+    assert finding is not None
+    assert online.invariant == finding.invariant
+    assert (online.node, online.block) == (finding.node, finding.block)
+    assert finding.message in str(online)
+    with pytest.raises(ProtocolError) as selfcheck:
+        machine.protocol.invariant_check()
+    assert str(selfcheck.value) == finding.message
+
+
 # ------------------------------------ the committed counterexample corpus
 @pytest.mark.parametrize(
     "path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem
