@@ -109,6 +109,10 @@ class Dir1SWProtocol:
         self.stats = [CacheStats() for _ in range(num_nodes)]
         self.proto_stats = ProtocolStats()
         self.directory = Directory()
+        # every plain hit returns this one result: AccessResult and
+        # CostModel are frozen, so sharing it is safe and saves building
+        # one object per hit
+        self._hit = AccessResult(self.cost.hit_cycles, AccessKind.HIT)
         self._txn_next = 0  # machine-unique slow-path transaction ids
         self._pending: list[dict[int, _Pending]] = [{} for _ in range(num_nodes)]
         # Per-home-node directory occupancy (contention model; see
@@ -320,10 +324,12 @@ class Dir1SWProtocol:
     # ------------------------------------------------------------- accesses
     def _pending_wait(self, node: int, block: int, now: int) -> int | None:
         """If a prefetch is in flight for ``block``, cycles still to wait."""
-        pend = self._pending[node].get(block)
+        pending = self._pending[node]
+        if not pending:
+            return None
+        pend = pending.pop(block, None)
         if pend is None:
             return None
-        del self._pending[node][block]
         self.stats[node].prefetch_useful += 1
         return max(0, pend.arrival - now)
 
@@ -338,7 +344,7 @@ class Dir1SWProtocol:
                     self.cost.hit_cycles + wait, AccessKind.HIT, "prefetched"
                 )
             stats.hits += 1
-            return AccessResult(self.cost.hit_cycles, AccessKind.HIT)
+            return self._hit
         self._pending[node].pop(block, None)  # stale pending (line was stolen)
         # slow path from here: host phase accounting charges it to
         # "protocol" (hits above stay instrumentation-free — they are the
@@ -370,7 +376,7 @@ class Dir1SWProtocol:
                     self.cost.hit_cycles + wait, AccessKind.HIT, "prefetched"
                 )
             stats.hits += 1
-            return AccessResult(self.cost.hit_cycles, AccessKind.HIT)
+            return self._hit
         prof = hostprof.ACTIVE
         if line is not None:  # SHARED: write fault (upgrade)
             wait = self._pending_wait(node, block, now) or 0

@@ -272,10 +272,7 @@ class EventBus:
         if handlers:
             prof = hostprof.ACTIVE
             if prof is not None:
-                prof.push("obs")
-            try:
-                for handler in handlers:
-                    handler(event)
-            finally:
-                if prof is not None:
-                    prof.pop()
+                prof.dispatch("obs", handlers, event)
+                return
+            for handler in handlers:
+                handler(event)

@@ -147,31 +147,34 @@ class HostProfiler:
     starts/stops the sampler, and guarantees deactivation on exceptions.
     """
 
+    __slots__ = ("epoch", "sampler", "_epochs", "_cells", "_top", "_stack",
+                 "_last", "_started", "_t0", "_total_ns", "_owner")
+
     def __init__(self, sampling_interval_s: float = 0.0):
         if sampling_interval_s < 0:
             raise ObsError(
                 f"sampling interval must be >= 0, got {sampling_interval_s}"
             )
-        #: (phase, epoch) -> exclusive self-time in integer ns
-        self.cells: dict[tuple[str, int], int] = {}
         self.epoch = 0
         self.sampler = (
             SamplingProfiler(sampling_interval_s)
             if sampling_interval_s else None
         )
-        self._stack: list[str] = []
+        #: epoch -> phase -> exclusive self-time in integer ns
+        self._epochs: dict[int, dict[str, int]] = {}
+        self._cells = self._epochs.setdefault(0, {})  # the current epoch's
+        self._top = "other"  # the open region
+        self._stack: list[str] = []  # the regions it is nested in
         self._last = 0  # ns timestamp of the most recent credit
         self._started = False
         self._total_ns = 0
         self._owner: int | None = None  # thread ident that started it
 
     # --------------------------------------------------------- accounting
-    def _credit(self, now: int) -> None:
-        key = (self._stack[-1], self.epoch)
-        cells = self.cells
-        cells[key] = cells.get(key, 0) + (now - self._last)
-        self._last = now
-
+    # push, pop, set_epoch and dispatch each credit the open region inline
+    # (one timestamp, one dict update keyed by the phase name): they run
+    # once or twice per simulated access, so their cost is what profiling
+    # adds to the run it measures.
     def start(self) -> None:
         """Open the accounting window (idempotent) for the calling thread:
         from here on, push/pop/set_epoch from other threads are ignored."""
@@ -179,7 +182,7 @@ class HostProfiler:
             return
         self._started = True
         self._owner = get_ident()
-        self._stack = ["other"]
+        self._top, self._stack = "other", []
         self._last = perf_counter_ns()
         self._t0 = self._last
         if self.sampler is not None:
@@ -191,11 +194,13 @@ class HostProfiler:
         if not self._started:
             return
         now = perf_counter_ns()
-        # Unwind whatever the exception left on the stack: each level's
-        # remaining time goes to the level itself, preserving conservation.
-        while self._stack:
-            self._credit(now)
-            self._stack.pop()
+        # Unwind whatever an exception left open: the open region gets the
+        # time since the last credit, every region below it a zero entry.
+        cells = self._cells
+        for phase in [self._top, *reversed(self._stack)]:
+            cells[phase] = cells.get(phase, 0) + now - self._last
+            self._last = now
+        self._top, self._stack = "other", []
         self._total_ns += now - self._t0
         self._started = False
         if self.sampler is not None:
@@ -204,22 +209,56 @@ class HostProfiler:
     def push(self, phase: str) -> None:
         if get_ident() != self._owner:
             return
-        self._credit(perf_counter_ns())
-        self._stack.append(phase)
+        now = perf_counter_ns()
+        cells, top = self._cells, self._top
+        cells[top] = cells.get(top, 0) + now - self._last
+        self._last = now
+        self._stack.append(top)
+        self._top = phase
 
     def pop(self) -> None:
         if get_ident() != self._owner:
             return
-        self._credit(perf_counter_ns())
-        self._stack.pop()
+        now = perf_counter_ns()
+        cells, top = self._cells, self._top
+        cells[top] = cells.get(top, 0) + now - self._last
+        self._last = now
+        self._top = self._stack.pop()
+
+    def dispatch(self, phase: str, handlers, event) -> None:
+        """Call each of ``handlers`` with ``event`` inside a ``phase``
+        region: the same accounting as push, the calls, then pop, in one
+        profiler call (the event bus runs this once per event)."""
+        if get_ident() != self._owner:
+            for handler in handlers:
+                handler(event)
+            return
+        now = perf_counter_ns()
+        cells, outer = self._cells, self._top
+        cells[outer] = cells.get(outer, 0) + now - self._last
+        self._last = now
+        self._top = phase
+        try:
+            for handler in handlers:
+                handler(event)
+        finally:
+            now = perf_counter_ns()
+            cells, top = self._cells, self._top
+            cells[top] = cells.get(top, 0) + now - self._last
+            self._last = now
+            self._top = outer
 
     def set_epoch(self, epoch: int) -> None:
         """Epoch boundary: split the open region at this instant so the
         per-epoch columns conserve exactly too."""
         if get_ident() != self._owner:
             return
-        self._credit(perf_counter_ns())
+        now = perf_counter_ns()
+        cells, top = self._cells, self._top
+        cells[top] = cells.get(top, 0) + now - self._last
+        self._last = now
         self.epoch = epoch
+        self._cells = self._epochs.setdefault(epoch, {})
 
     def running(self):
         """start() + activate() on entry; stop() + deactivate() on exit."""
@@ -232,8 +271,9 @@ class HostProfiler:
 
     def phase_totals(self) -> dict[str, int]:
         totals: dict[str, int] = {}
-        for (phase, _epoch), ns in self.cells.items():
-            totals[phase] = totals.get(phase, 0) + ns
+        for cells in self._epochs.values():
+            for phase, ns in cells.items():
+                totals[phase] = totals.get(phase, 0) + ns
         return totals
 
     def report(self) -> dict:
@@ -243,9 +283,6 @@ class HostProfiler:
         equal ``total_ns`` to the nanosecond.
         """
         phases = self.phase_totals()
-        epochs: dict[int, dict[str, int]] = {}
-        for (phase, epoch), ns in self.cells.items():
-            epochs.setdefault(epoch, {})[phase] = ns
         report = {
             "version": HOSTPROF_VERSION,
             "total_ns": self._total_ns,
@@ -256,7 +293,7 @@ class HostProfiler:
                     "ns": sum(cells.values()),
                     "phases": {k: cells[k] for k in sorted(cells)},
                 }
-                for epoch, cells in sorted(epochs.items())
+                for epoch, cells in sorted(self._epochs.items()) if cells
             ],
             "conserved": sum(phases.values()) == self._total_ns,
             "samples": None,

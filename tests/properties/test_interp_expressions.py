@@ -94,7 +94,10 @@ def test_interpreter_matches_python(expr):
 @settings(max_examples=30, deadline=None)
 @given(trees(3))
 def test_purity_analysis_never_lies(expr):
-    """Expressions without Loads must be classified pure (fast path)."""
+    """Expressions without Loads must compile to the plain (non-generator)
+    path, with one compute cycle per operator."""
+    import inspect
+
     from repro.lang.interp import Interpreter
     from repro.lang.ast import ArrayDecl, Function, Program, number_program
 
@@ -105,5 +108,15 @@ def test_purity_analysis_never_lies(expr):
             functions={"main": Function("main", (), [])},
         )
     )
-    interp = Interpreter(program)
-    assert interp._is_pure(expr)
+    code = Interpreter(program).compiler.expr(expr, pc=1)
+    assert not code.gen
+    assert not inspect.isgeneratorfunction(code.fn)
+    assert code.count == _operators(expr)
+
+
+def _operators(expr: Expr) -> int:
+    if isinstance(expr, Bin):
+        return 1 + _operators(expr.left) + _operators(expr.right)
+    if isinstance(expr, Un):
+        return 1 + _operators(expr.operand)
+    return 0
