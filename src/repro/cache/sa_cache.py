@@ -37,15 +37,17 @@ class SetAssociativeCache:
         self.assoc = assoc
         self.num_sets = size_bytes // (block_size * assoc)
         check_power_of_two(self.num_sets, "number of sets")
-        # One OrderedDict per set: block -> CacheLine, LRU order = insertion
-        # order with move_to_end on touch.
-        self._sets: list[OrderedDict[int, CacheLine]] = [
+        self._mask = self.num_sets - 1
+        #: One OrderedDict per set: block -> CacheLine, LRU order = insertion
+        #: order with move_to_end on touch.  Read-only outside this class;
+        #: ``block in sets[set_index(block)]`` is the cheapest residency test.
+        self.sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
 
     # -- geometry ------------------------------------------------------------
     def set_index(self, block: int) -> int:
-        return block & (self.num_sets - 1)
+        return block & self._mask
 
     @property
     def capacity_blocks(self) -> int:
@@ -54,25 +56,25 @@ class SetAssociativeCache:
     # -- lookups ---------------------------------------------------------------
     def lookup(self, block: int) -> CacheLine | None:
         """Return the resident line for ``block`` (no LRU update)."""
-        return self._sets[self.set_index(block)].get(block)
+        return self.sets[block & self._mask].get(block)
 
     def touch(self, block: int) -> CacheLine | None:
         """Lookup and mark most-recently-used."""
-        cset = self._sets[self.set_index(block)]
+        cset = self.sets[block & self._mask]
         line = cset.get(block)
         if line is not None:
             cset.move_to_end(block)
         return line
 
     def __contains__(self, block: int) -> bool:
-        return block in self._sets[self.set_index(block)]
+        return block in self.sets[self.set_index(block)]
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     def lines(self) -> list[CacheLine]:
         """All resident lines (unspecified order)."""
-        return [line for cset in self._sets for line in cset.values()]
+        return [line for cset in self.sets for line in cset.values()]
 
     # -- mutation ------------------------------------------------------------
     def insert(self, block: int, state: LineState, dirty: bool = False) -> CacheLine | None:
@@ -81,7 +83,7 @@ class SetAssociativeCache:
         Inserting a block that is already resident replaces its state in
         place (used for upgrades) and evicts nothing.
         """
-        cset = self._sets[self.set_index(block)]
+        cset = self.sets[self.set_index(block)]
         existing = cset.get(block)
         if existing is not None:
             existing.state = state
@@ -96,7 +98,7 @@ class SetAssociativeCache:
 
     def invalidate(self, block: int) -> CacheLine | None:
         """Remove ``block`` if resident; return the removed line."""
-        return self._sets[self.set_index(block)].pop(block, None)
+        return self.sets[self.set_index(block)].pop(block, None)
 
     def downgrade(self, block: int) -> bool:
         """EXCLUSIVE -> SHARED; return whether the line was dirty."""
@@ -113,14 +115,14 @@ class SetAssociativeCache:
         order (least recently used first), for barrier checkpoints."""
         return [
             (line.block, line.state.value, line.dirty)
-            for cset in self._sets
+            for cset in self.sets
             for line in cset.values()
         ]
 
     def restore_lines(self, lines: list[tuple[int, str, bool]]) -> None:
         """Rebuild residency from :meth:`snapshot_lines` output.  Inserting
         in snapshot order reproduces the per-set LRU order exactly."""
-        for cset in self._sets:
+        for cset in self.sets:
             cset.clear()
         for block, state, dirty in lines:
             self.insert(int(block), LineState(state), bool(dirty))
@@ -134,7 +136,7 @@ class SetAssociativeCache:
         from repro.obs import hostprof
 
         with hostprof.perf_region("cache"):
-            flushed = [line for cset in self._sets for line in cset.values()]
-            for cset in self._sets:
+            flushed = [line for cset in self.sets for line in cset.values()]
+            for cset in self.sets:
                 cset.clear()
             return flushed

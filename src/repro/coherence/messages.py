@@ -27,3 +27,8 @@ class MessageKind(enum.Enum):
     DECREMENT = "decrement"  # replacement notice: drop sharer count
     PREFETCH = "prefetch"  # prefetch request
     NACK = "nack"  # transient negative acknowledgement (fault injection)
+
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C where Enum.__hash__ runs Python code on every message.  No output
+    # iterates a set of kinds, so hash order never reaches a result.
+    __hash__ = object.__hash__

@@ -53,6 +53,10 @@ class AccessKind(enum.Enum):
     WRITE_MISS = "write_miss"
     WRITE_FAULT = "write_fault"
 
+    # identity hashing, as for MessageKind (consumers key a dict by kind
+    # on every access)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class AccessResult:
@@ -205,7 +209,7 @@ class Dir1SWProtocol:
             self.directory.add_reader(block, node)
             self.proto_stats.recalls += 1
             bus = self.bus
-            if bus is not None and bus.wants(EventKind.RECALL):
+            if bus is not None and EventKind.RECALL in bus.subscribed:
                 net = self.network
                 bus.publish(RecallEvent(
                     node=node, owner=owner, block=block,
@@ -244,7 +248,7 @@ class Dir1SWProtocol:
             self.directory.make_owner(block, node)
             self.proto_stats.recalls += 1
             bus = self.bus
-            if bus is not None and bus.wants(EventKind.RECALL):
+            if bus is not None and EventKind.RECALL in bus.subscribed:
                 net = self.network
                 bus.publish(RecallEvent(
                     node=node, owner=owner, block=block,
@@ -280,7 +284,7 @@ class Dir1SWProtocol:
         self.proto_stats.sw_traps += 1
         self.proto_stats.bcast_invalidations += count
         bus = self.bus
-        if bus is not None and bus.wants(EventKind.TRAP):
+        if bus is not None and EventKind.TRAP in bus.subscribed:
             net = self.network
             bus.publish(TrapEvent(node=node, block=block, copies=count,
                                   upgrade=False, t=net.t, txn=net.txn,
@@ -313,7 +317,7 @@ class Dir1SWProtocol:
         self.proto_stats.sw_traps += 1
         self.proto_stats.bcast_invalidations += others
         bus = self.bus
-        if bus is not None and bus.wants(EventKind.TRAP):
+        if bus is not None and EventKind.TRAP in bus.subscribed:
             net = self.network
             bus.publish(TrapEvent(node=node, block=block, copies=others,
                                   upgrade=True, t=net.t, txn=net.txn,

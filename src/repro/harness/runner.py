@@ -93,8 +93,10 @@ def _run_machine(
             if resume_snap is not None:
                 values = resume_snap.get("store") or {}
 
-                def on_resume(values=values):
+                def on_resume(values=values, snap=resume_snap):
                     store.restore_values(values)
+                    if checker is not None:
+                        checker.resume(snap)
 
         def checkpoint_cb(snap, ckpt=ckpt, store=store):
             snap["store"] = store.snapshot_values()

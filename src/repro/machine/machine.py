@@ -180,12 +180,32 @@ class Machine:
             heap = [(0, i) for i in range(cfg.num_nodes)]
         heapq.heapify(heap)
         barrier_waiters: list[int] = []
+        # per-run constants, hoisted out of the step loop
         bus = self.bus
+        subscribed = bus.subscribed
+        publish = bus.publish
         faults = self.faults
         max_cycles = cfg.max_cycles
+        compute_cycles = cfg.cost.compute_cycles
+        shift = self._block_shift
+        read = self.protocol.read
+        write = self.protocol.write
+        heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
+        ACCESS = EventKind.ACCESS
+        # Each step's closing push of the stepping node, fused with the
+        # next step's pop: heappushpop returns exactly the entry that
+        # push-then-pop would, so the interleaving is unchanged.
+        push = None
 
-        while heap:
-            clock, nid = heapq.heappop(heap)
+        while True:
+            if push is not None:
+                clock, nid = heappushpop(heap, push)
+                push = None
+            elif heap:
+                clock, nid = heappop(heap)
+            else:
+                break
             state = nodes[nid]
             if state.clock != clock:
                 continue  # stale heap entry
@@ -208,8 +228,8 @@ class Machine:
                         state.clock += faults.final_stall(nid)
                     state.done = True
                     live -= 1
-                    if bus.wants(EventKind.NODE_DONE):
-                        bus.publish(NodeDoneEvent(node=nid, t=state.clock))
+                    if EventKind.NODE_DONE in subscribed:
+                        publish(NodeDoneEvent(nid, state.clock))
                     if barrier_waiters and live == len(barrier_waiters):
                         raise BarrierError(
                             f"deadlock: node {nid} finished while nodes "
@@ -222,10 +242,10 @@ class Machine:
                 # itself, not of the preceding computation.
                 compute = event[1]
                 if compute:
-                    state.clock += compute * cfg.cost.compute_cycles
+                    state.clock += compute * compute_cycles
                     if heap and heap[0][0] < state.clock:
                         state.pending = event
-                        heapq.heappush(heap, (state.clock, nid))
+                        push = (state.clock, nid)
                         continue
 
             code = event[0]
@@ -233,19 +253,18 @@ class Machine:
             if code == EV_REF:
                 _, _compute, addr, is_write, pc = event
                 if addr >= 0:
-                    block = addr >> self._block_shift
                     started = state.clock
                     if is_write:
-                        result = self.protocol.write(nid, block, started)
+                        result = write(nid, addr >> shift, started)
                     else:
-                        result = self.protocol.read(nid, block, started)
-                    state.clock += result.cycles
-                    if bus.wants(EventKind.ACCESS):
-                        bus.publish(AccessEvent(
-                            node=nid, epoch=self.epoch, addr=addr, pc=pc,
-                            write=is_write, t=started, result=result,
+                        result = read(nid, addr >> shift, started)
+                    state.clock = started + result.cycles
+                    if ACCESS in subscribed:
+                        publish(AccessEvent(
+                            nid, self.epoch, addr, pc, is_write, started,
+                            result,
                         ))
-                heapq.heappush(heap, (state.clock, nid))
+                push = (state.clock, nid)
 
             elif code == EV_BARRIER:
                 _, _compute, pc = event
@@ -267,17 +286,15 @@ class Machine:
             elif code == EV_DIRECTIVE:
                 _, _compute, kind, addrs, pc = event
                 started = state.clock
-                cycles = self._issue_directive(nid, kind, addrs, started)
+                blocks = tuple(sorted({a >> shift for a in addrs if a >= 0}))
+                cycles = self._issue_directive(nid, kind, blocks, started)
                 state.clock += cycles
-                if bus.wants(EventKind.DIRECTIVE):
-                    shift = self._block_shift
-                    bset = tuple(sorted({a >> shift for a in addrs if a >= 0}))
-                    bus.publish(DirectiveEvent(
-                        node=nid, epoch=self.epoch, dkind=kind,
-                        blocks=len(bset), pc=pc, t=started, cycles=cycles,
-                        blockset=bset,
+                if EventKind.DIRECTIVE in subscribed:
+                    publish(DirectiveEvent(
+                        nid, self.epoch, kind, len(blocks), pc, started,
+                        cycles, blocks,
                     ))
-                heapq.heappush(heap, (state.clock, nid))
+                push = (state.clock, nid)
 
             elif code == EV_LOCK:
                 _, _compute, addr, pc = event
@@ -286,21 +303,19 @@ class Machine:
                     self._lock_holders[addr] = nid
                     started = state.clock
                     state.clock += cfg.lock_cycles
-                    if bus.wants(EventKind.LOCK_ACQUIRE):
-                        bus.publish(LockEvent(
-                            kind=EventKind.LOCK_ACQUIRE, node=nid, addr=addr,
-                            pc=pc, t=started,
+                    if EventKind.LOCK_ACQUIRE in subscribed:
+                        publish(LockEvent(
+                            EventKind.LOCK_ACQUIRE, nid, addr, pc, started,
                         ))
-                    heapq.heappush(heap, (state.clock, nid))
+                    push = (state.clock, nid)
                 else:
                     state.waiting_lock = addr
                     self._lock_queues.setdefault(addr, deque()).append(
                         (nid, pc, state.clock)
                     )
-                    if bus.wants(EventKind.LOCK_CONTEND):
-                        bus.publish(LockEvent(
-                            kind=EventKind.LOCK_CONTEND, node=nid, addr=addr,
-                            pc=pc, t=state.clock,
+                    if EventKind.LOCK_CONTEND in subscribed:
+                        publish(LockEvent(
+                            EventKind.LOCK_CONTEND, nid, addr, pc, state.clock,
                         ))
                     # off the heap until the lock is granted
 
@@ -311,10 +326,9 @@ class Machine:
                         f"node {nid} unlocked {addr:#x} it does not hold"
                     )
                 del self._lock_holders[addr]
-                if bus.wants(EventKind.LOCK_RELEASE):
-                    bus.publish(LockEvent(
-                        kind=EventKind.LOCK_RELEASE, node=nid, addr=addr,
-                        pc=pc, t=state.clock,
+                if EventKind.LOCK_RELEASE in subscribed:
+                    publish(LockEvent(
+                        EventKind.LOCK_RELEASE, nid, addr, pc, state.clock,
                     ))
                 queue = self._lock_queues.get(addr)
                 if queue:
@@ -324,13 +338,13 @@ class Machine:
                     granted = max(wstate.clock, state.clock)
                     wstate.clock = granted + cfg.lock_cycles
                     self._lock_holders[addr] = waiter
-                    if bus.wants(EventKind.LOCK_ACQUIRE):
-                        bus.publish(LockEvent(
-                            kind=EventKind.LOCK_ACQUIRE, node=waiter, addr=addr,
-                            pc=wpc, t=granted, wait=granted - enqueued,
+                    if EventKind.LOCK_ACQUIRE in subscribed:
+                        publish(LockEvent(
+                            EventKind.LOCK_ACQUIRE, waiter, addr, wpc, granted,
+                            granted - enqueued,
                         ))
                     heapq.heappush(heap, (wstate.clock, waiter))
-                heapq.heappush(heap, (state.clock, nid))
+                push = (state.clock, nid)
 
             else:
                 raise MachineError(f"unknown kernel event {event!r}")
@@ -362,7 +376,7 @@ class Machine:
         vt = max(nodes[nid].clock for nid in waiters)
         self._barrier_vts.append(vt)
         resume = vt + self.config.cost.barrier_cycles
-        if self.bus.wants(EventKind.BARRIER):
+        if EventKind.BARRIER in self.bus.subscribed:
             self.bus.publish(BarrierEvent(
                 epoch=self.epoch, vt=vt,
                 node_pcs={nid: nodes[nid].barrier_pc for nid in waiters},
@@ -384,10 +398,9 @@ class Machine:
             nodes[nid].clock = resume
             heapq.heappush(heap, (resume, nid))
 
-    def _issue_directive(self, node: int, kind: int, addrs, now: int) -> int:
-        """Issue one protocol operation per distinct block; return cycles."""
-        shift = self._block_shift
-        blocks = sorted({a >> shift for a in addrs if a >= 0})
+    def _issue_directive(self, node: int, kind: int, blocks, now: int) -> int:
+        """Issue one protocol operation per block of the sorted distinct
+        ``blocks``; return cycles."""
         cycles = 0
         proto = self.protocol
         for block in blocks:

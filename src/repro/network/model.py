@@ -72,10 +72,9 @@ class Network:
                 )
             self._traffic[kind] += count
             bus = self.bus
-            if bus is not None and bus.wants(EventKind.MESSAGE):
+            if bus is not None and EventKind.MESSAGE in bus.subscribed:
                 bus.publish(MessageEvent(
-                    msg=kind, count=count, node=self.node, epoch=self.epoch,
-                    t=self.t, txn=self.txn,
+                    kind, count, self.node, self.epoch, self.t, self.txn,
                 ))
         finally:
             if prof is not None:

@@ -183,7 +183,8 @@ class AttributionProfiler:
         self.source = source
         self.env = env
         self._cells: dict[tuple[str, int, int], _Cell] = {}
-        self._block_names: dict[int, str] = {}
+        # block -> (label or None, array name); see _block_label
+        self._blocks: dict[int, tuple[ArrayLabel | None, str]] = {}
         self._label_cache: dict[str, ArrayLabel | None] = {}
         # per-node trap/recall events awaiting their enclosing access/directive
         self._pending: dict[int, list] = {}
@@ -221,12 +222,19 @@ class AttributionProfiler:
         label = self.labels.find(addr)
         return label.name if label is not None else UNLABELLED
 
+    def _block_label(self, block: int) -> tuple[ArrayLabel | None, str]:
+        """The label covering ``block`` and its array name, memoized per
+        block.  Exact: every region is allocated as whole blocks from a
+        block-aligned base, so no block straddles two labels."""
+        entry = self._blocks.get(block)
+        if entry is None:
+            label = self.labels.find(block << self._shift)
+            name = label.name if label is not None else UNLABELLED
+            entry = self._blocks[block] = (label, name)
+        return entry
+
     def _array_of_block(self, block: int) -> str:
-        name = self._block_names.get(block)
-        if name is None:
-            name = self._array_of_addr(block * self.block_size)
-            self._block_names[block] = name
-        return name
+        return self._block_label(block)[1]
 
     def _block_flats(self, label: ArrayLabel, block: int) -> range:
         """Flat element indices of ``label`` covered by ``block``."""
@@ -264,13 +272,14 @@ class AttributionProfiler:
 
     # ---------------------------------------------------------- handlers
     def _on_access(self, ev: AccessEvent) -> None:
-        label = self.labels.find(ev.addr)
-        array = label.name if label is not None else UNLABELLED
+        block = ev.addr >> self._shift
+        label, array = self._blocks.get(block) or self._block_label(block)
         cell = self._cell(array, ev.pc, ev.epoch)
         kind = ev.result.kind
         setattr(cell, _KIND_FIELD[kind], getattr(cell, _KIND_FIELD[kind]) + 1)
-        self._fold_pending(ev.node, ev.pc, ev.epoch)
-        pair = (ev.node, ev.addr >> self._shift)
+        if self._pending:
+            self._fold_pending(ev.node, ev.pc, ev.epoch)
+        pair = (ev.node, block)
         entry = self._audit.outstanding.get(pair)
         if entry is not None:
             entry[1] = True  # the check-out's block got re-referenced

@@ -7,12 +7,18 @@ the network publishes per-message traffic.  Consumers — the trace collector,
 the metrics/timeline layer, the Chrome-trace recorder, ad-hoc test probes —
 subscribe to the :class:`EventKind`\\ s they care about.
 
-Zero overhead when disabled
----------------------------
-Publishers guard every event with ``bus.wants(kind)`` (a set-membership
-test) and only *then* allocate the event object, so a run with no
-subscribers pays a few branch instructions and nothing else.  Do not put
-work on the publishing side that is not behind such a guard.
+Cheap when enabled, free when disabled
+--------------------------------------
+Publishers test ``kind in bus.subscribed`` inline — a membership test on
+the bus's live view of its subscribed kinds, with no call — and only
+*then* build the event, so a run with no subscribers pays a few branch
+instructions and nothing else.  Do not put work on the publishing side
+that is not behind such a test.  Every event but :class:`BarrierEvent` is
+an immutable :class:`~typing.NamedTuple` record, built positionally: one
+tuple allocation per event, with no per-field ``__setattr__``.  Its
+``kind`` is a class attribute, except on :class:`LockEvent`, which serves
+three kinds and carries ``kind`` as a field.  :class:`BarrierEvent`, one
+per epoch and carrying dicts, is a frozen dataclass.
 
 Timestamps are node virtual-time cycles.  ``t`` is the clock at which the
 event *starts* (for spans, the duration is carried separately), so events
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, NamedTuple
 
 from repro.coherence.messages import MessageKind
 from repro.obs import hostprof
@@ -61,11 +67,9 @@ class EventKind(enum.IntEnum):
     NODE_DONE = enum.auto()  # a node's kernel finished
 
 
-@dataclass(frozen=True, slots=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """Outcome of one shared reference (the machine's EV_REF)."""
 
-    kind: ClassVar[EventKind] = EventKind.ACCESS
     node: int
     epoch: int
     addr: int
@@ -74,9 +78,10 @@ class AccessEvent:
     t: int  # node clock when the access started
     result: "AccessResult"  # cycles / AccessKind / detail
 
+    kind = EventKind.ACCESS
 
-@dataclass(frozen=True, slots=True)
-class DirectiveEvent:
+
+class DirectiveEvent(NamedTuple):
     """One CICO directive issue (check_out / check_in / prefetch).
 
     ``blockset`` carries the distinct block numbers the directive covered
@@ -85,7 +90,6 @@ class DirectiveEvent:
     effectiveness (was a checked-out block ever re-referenced?).
     """
 
-    kind: ClassVar[EventKind] = EventKind.DIRECTIVE
     node: int
     epoch: int
     dkind: int  # repro.machine.events.DIR_* code
@@ -94,6 +98,8 @@ class DirectiveEvent:
     t: int
     cycles: int
     blockset: tuple[int, ...] = ()
+
+    kind = EventKind.DIRECTIVE
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +120,7 @@ class BarrierEvent:
     node_clocks: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
-class LockEvent:
+class LockEvent(NamedTuple):
     """A lock acquire / contend / release.
 
     ``wait`` is nonzero only on an acquire that followed a contend: the
@@ -130,8 +135,7 @@ class LockEvent:
     wait: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class TrapEvent:
+class TrapEvent(NamedTuple):
     """Dir1SW software trap: broadcast invalidation of ``copies`` sharers.
 
     ``holders`` names the nodes whose copies the broadcast killed, so the
@@ -139,7 +143,6 @@ class TrapEvent:
     invalidated node's track.
     """
 
-    kind: ClassVar[EventKind] = EventKind.TRAP
     node: int  # the requester whose access trapped
     block: int
     copies: int  # sharers invalidated by the broadcast
@@ -148,12 +151,12 @@ class TrapEvent:
     txn: int = -1  # enclosing slow-path transaction id
     holders: tuple[int, ...] = ()  # nodes invalidated by the broadcast
 
+    kind = EventKind.TRAP
 
-@dataclass(frozen=True, slots=True)
-class RecallEvent:
+
+class RecallEvent(NamedTuple):
     """The directory recalled the exclusive owner's copy for a requester."""
 
-    kind: ClassVar[EventKind] = EventKind.RECALL
     node: int  # requester
     owner: int  # node that held the block RW
     block: int
@@ -162,9 +165,10 @@ class RecallEvent:
     t: int = -1  # clock the enclosing transaction started
     txn: int = -1  # enclosing slow-path transaction id
 
+    kind = EventKind.RECALL
 
-@dataclass(frozen=True, slots=True)
-class MessageEvent:
+
+class MessageEvent(NamedTuple):
     """``count`` protocol messages of one kind entered the network.
 
     ``node`` is the requester whose transaction sent the messages (the
@@ -173,7 +177,6 @@ class MessageEvent:
     enclosing slow-path transaction (-1 outside one, e.g. barrier flushes).
     """
 
-    kind: ClassVar[EventKind] = EventKind.MESSAGE
     msg: MessageKind
     count: int = 1
     node: int = -1
@@ -181,14 +184,16 @@ class MessageEvent:
     t: int = 0
     txn: int = -1
 
+    kind = EventKind.MESSAGE
 
-@dataclass(frozen=True, slots=True)
-class NodeDoneEvent:
+
+class NodeDoneEvent(NamedTuple):
     """A node's kernel ran to completion."""
 
-    kind: ClassVar[EventKind] = EventKind.NODE_DONE
     node: int
     t: int
+
+    kind = EventKind.NODE_DONE
 
 
 Event = (
@@ -210,12 +215,13 @@ class EventBus:
 
     Handlers run inline on the publishing (simulation) thread in
     subscription order; they must not mutate simulator state.  ``subscribe``
-    returns a token for ``unsubscribe``.  ``wants``/``active`` are the fast
-    guards publishers use to skip event construction entirely when nobody
-    is listening.
+    returns a token for ``unsubscribe``.  ``subscribed`` is a live,
+    read-only view of the kinds somebody listens to: hot publishers test
+    ``kind in bus.subscribed`` inline and skip building the event when
+    nobody is listening; (un)subscribing mid-run shows in the view at once.
     """
 
-    __slots__ = ("_subs", "_seq", "_next_token")
+    __slots__ = ("_subs", "_seq", "_next_token", "subscribed")
 
     def __init__(self) -> None:
         self._subs: dict[EventKind, dict[int, Handler]] = {}
@@ -223,16 +229,13 @@ class EventBus:
         # publish does not re-tuple the handler dict on every event
         self._seq: dict[EventKind, tuple[Handler, ...]] = {}
         self._next_token = 0
+        self.subscribed = self._subs.keys()
 
     # ------------------------------------------------------------- queries
     @property
     def active(self) -> bool:
         """True when at least one subscription exists."""
         return bool(self._subs)
-
-    def wants(self, kind: EventKind) -> bool:
-        """True when some subscriber listens to ``kind`` (the hot guard)."""
-        return kind in self._subs
 
     def subscribers(self, kind: EventKind) -> int:
         return len(self._subs.get(kind, ()))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import AccessKind
 from repro.machine.events import DIRECTIVE_NAMES
 from repro.obs.events import (
@@ -44,7 +45,7 @@ from repro.obs.events import (
     RecallEvent,
     TrapEvent,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.timeline import EpochSample, EpochTimeline
 
 #: Miss-latency buckets sized to the default cost model: hits (1), directive
@@ -176,6 +177,8 @@ class Observer:
         self._c_recalls = reg.counter("recalls")
         self._c_recalls_dirty = reg.counter("recalls.dirty")
         self._c_messages = reg.counter("messages")
+        # messages.<kind> counters are created when a kind is first seen
+        self._c_message_kinds: dict[MessageKind, Counter] = {}
         self._c_nodes_done = reg.counter("nodes_done")
 
         sub = self.bus.subscribe
@@ -302,7 +305,12 @@ class Observer:
 
     def _on_message(self, ev: MessageEvent) -> None:
         self._c_messages.inc(ev.count)
-        self.registry.counter(f"messages.{ev.msg.value}").inc(ev.count)
+        counter = self._c_message_kinds.get(ev.msg)
+        if counter is None:
+            counter = self._c_message_kinds[ev.msg] = self.registry.counter(
+                f"messages.{ev.msg.value}"
+            )
+        counter.inc(ev.count)
         if self._chrome and ev.txn >= 0:
             self._pend_msgs.setdefault(ev.node, []).append(ev)
 

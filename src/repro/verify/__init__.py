@@ -30,7 +30,8 @@ joined with the slow-path transaction ids of PR 3 — so a violation names
 the history that led to it, not just the instant it was noticed.
 
 The checker reads the protocol's state as ground truth but never mutates
-it, and costs nothing when not subscribed (the bus's ``wants`` guards).
+it, and costs nothing when not subscribed (publishers test the bus's
+``subscribed`` view before building an event).
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ __all__ = ["InvariantChecker", "VerifyReport", "verify_run"]
 
 _OUT = "out"
 _IN = "in"
+_HIT = AccessKind.HIT
 
 
 # ------------------------------------------------------- lazy event records
 #
 # The evidence-chain ring buffers are written on *every* bus event but read
 # only when a violation is raised — which is never, on a healthy run.  So
-# the hot path stores ``(tag, event, ...)`` tuples (events are frozen
-# dataclasses, safe to retain) and the formatting below runs only inside
+# the hot path stores ``(tag, event, ...)`` tuples (events are immutable
+# records, safe to retain) and the formatting below runs only inside
 # ``_chain``.  This is most of what makes always-on ``--verify``
 # affordable; the rendered text is unchanged.
 
@@ -203,6 +205,29 @@ class InvariantChecker:
         ]
         return bus.subscribe(rest, self._handle)
 
+    def resume(self, snapshot: dict) -> None:
+        """Continue checking a run resumed from barrier ``snapshot``.
+
+        Call after the machine restored it (the protocol is then the
+        ground truth of the resume point).  The epoch, the last barrier's
+        virtual time and the finished nodes come from the snapshot; the
+        conservation counters start from the restored protocol's totals,
+        so conservation covers exactly the events published after the
+        resume point.  ``accesses`` and ``directives`` count only those.
+        """
+        proto = self.protocol
+        self._epoch = int(snapshot["epoch"])
+        vts = snapshot["barrier_vts"]
+        self._last_vt = int(vts[-1]) if vts else 0
+        self._done = {int(node) for node in snapshot["done"]}
+        counts = self._counts
+        counts["traps"] = proto.proto_stats.sw_traps
+        counts["recalls"] = proto.proto_stats.recalls
+        counts["messages"] = proto.network.total_messages
+        counts["barriers"] = self._epoch
+        counts["node_done"] = len(self._done)
+        counts["hits"] = proto.totals().hits
+
     def _handle(self, event) -> None:
         # Credit checker time to the "verify" host phase (it otherwise hides
         # inside "obs", the bus-dispatch region the publish wraps us in).
@@ -277,15 +302,15 @@ class InvariantChecker:
         if prof is not None:
             prof.push("verify")
         try:
+            node, epoch, addr, pc, write, _t, result = ev
             counts = self._counts
             counts["accesses"] += 1
-            result = ev.result
-            hit = result.kind is AccessKind.HIT
+            hit = result.kind is _HIT
             if hit and result.detail != "prefetched":
                 counts["hits"] += 1
-            block = ev.addr >> self._shift
+            block = addr >> self._shift
             rec = ("access", ev, block)
-            self._recent[ev.node].append(rec)
+            self._recent[node].append(rec)
             if result.txn >= 0:
                 self._txn_log.append(rec)
             # A read HIT needs no recheck: the protocol reported HIT
@@ -293,25 +318,23 @@ class InvariantChecker:
             # we would re-read.  Writes and read misses carry a real claim
             # (the writer holds the only copy, the slow path installed the
             # line), so those are verified.
-            if ev.write or not hit:
-                if ev.write:
+            if write or not hit:
+                if write:
                     self._checks["swmr"] += 1
                 finding = check_op(
-                    self.protocol, "write" if ev.write else "read",
-                    ev.node, block,
+                    self.protocol, "write" if write else "read", node, block,
                 )
                 if finding is not None:
-                    self._fail(finding, ev.epoch, result.txn)
+                    self._fail(finding, epoch, result.txn)
             # Performance-CICO discipline: touching a block this node
             # explicitly checked in earlier means a premature check-in.
-            marks = self._cico[ev.node]
-            if marks.get(block) == _IN:
+            marks = self._cico[node]
+            if marks and marks.get(block) == _IN:
                 self._checks["cico-discipline"] += 1
                 self._cico_finding(
-                    f"node {ev.node} accessed block {block} (pc {ev.pc}) "
+                    f"node {node} accessed block {block} (pc {pc}) "
                     f"after checking it in — premature check-in",
-                    node=ev.node, epoch=ev.epoch, block=block,
-                    txn=result.txn,
+                    node=node, epoch=epoch, block=block, txn=result.txn,
                 )
                 del marks[block]  # the access implicitly re-checked it out
         finally:

@@ -139,17 +139,17 @@ def check_op(
                 f"exclusive owner, found {format_dir_entry(entry)}",
                 node, block,
             )
+        # every cache has the writer's geometry: one set index serves all
+        index = proto.caches[node].set_index(block)
         for other, cache in enumerate(proto.caches):
-            if other != node:
-                copy = cache.lookup(block)
-                if copy is not None:
-                    return Finding(
-                        "swmr",
-                        f"node {other} still holds a copy "
-                        f"({format_cache_line(copy)}) of a block node "
-                        f"{node} just wrote",
-                        node, block,
-                    )
+            if other != node and block in cache.sets[index]:
+                return Finding(
+                    "swmr",
+                    f"node {other} still holds a copy "
+                    f"({format_cache_line(cache.lookup(block))}) of a block "
+                    f"node {node} just wrote",
+                    node, block,
+                )
     elif op == "read":
         if line is None:
             return Finding(

@@ -124,7 +124,7 @@ class TestProperties:
         for b in blocks:
             c.insert(b, LineState.SHARED)
         assert len(c) <= c.capacity_blocks
-        for cset in c._sets:
+        for cset in c.sets:
             assert len(cset) <= c.assoc
 
     @given(st.lists(st.integers(0, 63), max_size=200))
@@ -132,7 +132,7 @@ class TestProperties:
         c = small_cache(assoc=2, sets=4)
         for b in blocks:
             c.insert(b, LineState.SHARED)
-        for idx, cset in enumerate(c._sets):
+        for idx, cset in enumerate(c.sets):
             for b in cset:
                 assert c.set_index(b) == idx
 

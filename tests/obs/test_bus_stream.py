@@ -85,7 +85,7 @@ def encode(event) -> bytes:
 def record(program, spec) -> dict:
     """Run ``program`` observed and verified; digest the bus per kind."""
     observer = Observer(profile=True, critpath=True)
-    digests: dict[str, hashlib._Hash] = {}
+    digests: dict = {}
     counts: dict[str, int] = {}
 
     def tap(event) -> None:

@@ -1,4 +1,5 @@
-"""Event bus unit tests: subscribe, unsubscribe, wants, dispatch order."""
+"""Event bus unit tests: subscribe, unsubscribe, the subscribed view,
+dispatch order."""
 
 from __future__ import annotations
 
@@ -20,28 +21,28 @@ class TestSubscription:
     def test_fresh_bus_is_inactive(self):
         bus = EventBus()
         assert not bus.active
-        assert not bus.wants(EventKind.ACCESS)
+        assert EventKind.ACCESS not in bus.subscribed
 
     def test_subscribe_activates_only_requested_kinds(self):
         bus = EventBus()
         bus.subscribe((EventKind.BARRIER,), lambda e: None)
         assert bus.active
-        assert bus.wants(EventKind.BARRIER)
-        assert not bus.wants(EventKind.ACCESS)
+        assert EventKind.BARRIER in bus.subscribed
+        assert EventKind.ACCESS not in bus.subscribed
 
     def test_subscribe_all_kinds_with_none(self):
         bus = EventBus()
         bus.subscribe(None, lambda e: None)
         for kind in EventKind:
-            assert bus.wants(kind)
+            assert kind in bus.subscribed
 
     def test_unsubscribe_deactivates(self):
         bus = EventBus()
         token = bus.subscribe((EventKind.BARRIER, EventKind.TRAP), lambda e: None)
         bus.unsubscribe(token)
         assert not bus.active
-        assert not bus.wants(EventKind.BARRIER)
-        assert not bus.wants(EventKind.TRAP)
+        assert EventKind.BARRIER not in bus.subscribed
+        assert EventKind.TRAP not in bus.subscribed
 
     def test_unsubscribe_leaves_other_subscribers(self):
         bus = EventBus()
@@ -58,7 +59,7 @@ class TestSubscription:
         bus = EventBus()
         bus.subscribe((EventKind.TRAP,), lambda e: None)
         bus.unsubscribe(999)
-        assert bus.wants(EventKind.TRAP)
+        assert EventKind.TRAP in bus.subscribed
 
 
 class TestDispatch:

@@ -55,6 +55,29 @@ class TestAccessEvents:
         events, _ = collect((EventKind.ACCESS,), kernel)
         assert events == []
 
+    def test_subscribing_mid_run_takes_effect_at_the_next_event(self):
+        def kernel(nid):
+            for epoch in range(3):
+                yield (EV_REF, 1, BASE + 64 * nid, epoch == 1, epoch)
+                yield (EV_BARRIER, 0, 10 + epoch)
+
+        bus = EventBus()
+        seen = []
+        tokens = {}
+
+        def on_barrier(ev):
+            if ev.epoch == 0:  # start listening once epoch 0 is over
+                tokens["access"] = bus.subscribe((EventKind.ACCESS,), on_access)
+
+        def on_access(ev):
+            seen.append((ev.epoch, ev.node))
+            if len(seen) == 2:  # both epoch-1 accesses seen: stop
+                bus.unsubscribe(tokens["access"])
+
+        bus.subscribe((EventKind.BARRIER,), on_barrier)
+        Machine(config(), bus=bus).run(kernel)
+        assert sorted(seen) == [(1, 0), (1, 1)]
+
 
 class TestLockEvents:
     def test_uncontended_lock_records_pc(self):
