@@ -55,7 +55,6 @@ class Cachier:
         params_fn: Callable[[int], dict] | None = None,
         cache_size: int = 256 * 1024,
         capacity_fraction: float = 0.8,
-        fs_requires_write: bool = True,
         max_hoist_levels: int = 1,
     ):
         if program.max_pc < 0:
@@ -76,9 +75,7 @@ class Cachier:
         self.max_hoist_levels = max_hoist_levels
         # Phase 1 (shared by both policies): trace processing + DRFS.
         self.table = EpochTable(trace)
-        self.drfs = detect_all(
-            self.table, trace.block_size, require_write=fs_requires_write
-        )
+        self.drfs = detect_all(self.table)
         self.report = SharingReport.build(self.drfs, self.labels)
 
     def _last_ref(self, key: tuple[int, int], array: str) -> int | None:

@@ -17,15 +17,14 @@ whole block, and check-out/check-in operate on blocks anyway).
 For false sharing we additionally require (by default) that at least one
 access to the block is a write: read-only blocks never ping-pong, so
 flagging them would add annotations with no communication behind them.  Pass
-``require_write=False`` for the paper's literal definition; the ablation
-benchmark compares both.
+``require_write=False`` for the paper's literal definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cachier.epochs import EpochTable
+from repro.cachier.epochs import EpochTable, raw_access
 
 
 @dataclass
@@ -61,39 +60,57 @@ class DrfsInfo:
 def detect_drfs(
     table: EpochTable,
     epoch: int,
-    block_size: int | None = None,
+    *,
     require_write: bool = True,
 ) -> DrfsInfo:
     """Classify epoch ``epoch``'s blocks.
 
-    ``block_size`` is accepted for API symmetry but the table's own block
-    size governs (the raw map is already grouped by block).
+    Most blocks hold one raw address, and only the race test applies to
+    them.  In a block of several, a raw address is compared with the nodes
+    of the block's *other* addresses.  Every raw address in the table has
+    at least one node, so those others are never empty, and they follow
+    from per-node address counts: the address is falsely shared unless
+    every node touching the block touches it and each of those nodes also
+    touches another address of the block.
     """
     info = DrfsInfo()
-    for base, addr_map in table.raw_in(epoch).items():
-        any_write = any(raw.writers for raw in addr_map.values())
-        # Data race: one raw address, >= 2 nodes, >= 1 writer.
-        for addr, raw in addr_map.items():
-            if raw.writers and len(raw.nodes) >= 2:
+    for base, records in table.blocks_in(epoch).items():
+        if len(records) == 1 or len({rec.node for rec in records}) == 1:
+            continue  # a block only one node touches: no race, no sharing
+        addr_map = raw_access(records)
+        if len(addr_map) == 1:
+            ((addr, raw),) = addr_map.items()
+            writers = raw.writers
+            # Data race: one raw address, >= 2 nodes, >= 1 writer.
+            if writers and (len(writers) > 1 or not raw.readers <= writers):
+                nodes = raw.readers | writers
                 info.races.add(base)
-                info.race_nodes.setdefault(base, set()).update(raw.nodes)
+                info.race_nodes.setdefault(base, set()).update(nodes)
                 info.race_addrs.setdefault(base, set()).add(addr)
+            continue
+        any_write = False
+        counts: dict[int, int] = {}
+        touched: list[tuple[int, set[int]]] = []
+        for addr, raw in addr_map.items():
+            nodes = raw.readers | raw.writers
+            touched.append((addr, nodes))
+            if raw.writers:
+                any_write = True
+                if len(nodes) >= 2:
+                    info.races.add(base)
+                    info.race_nodes.setdefault(base, set()).update(nodes)
+                    info.race_addrs.setdefault(base, set()).add(addr)
+            for node in nodes:
+                counts[node] = counts.get(node, 0) + 1
         # False sharing: different raw addresses of one block touched by
         # different nodes.
-        if len(addr_map) < 2:
-            continue
         if require_write and not any_write:
             continue
-        addrs = list(addr_map)
-        flagged: set[int] = set()
-        for addr in addrs:
-            mine = addr_map[addr].nodes
-            others = set()
-            for other in addrs:
-                if other != addr:
-                    others |= addr_map[other].nodes
-            if others - mine or (others and mine - others):
-                flagged.add(addr)
+        flagged = {
+            addr for addr, nodes in touched
+            if len(nodes) < len(counts)
+            or any(counts[node] == 1 for node in nodes)
+        }
         if flagged:
             info.false_shared.add(base)
             info.fs_addrs.setdefault(base, set()).update(flagged)
@@ -101,9 +118,9 @@ def detect_drfs(
 
 
 def detect_all(
-    table: EpochTable, block_size: int | None = None, require_write: bool = True
+    table: EpochTable, *, require_write: bool = True
 ) -> dict[int, DrfsInfo]:
     return {
-        epoch: detect_drfs(table, epoch, block_size, require_write)
+        epoch: detect_drfs(table, epoch, require_write=require_write)
         for epoch in range(table.num_epochs)
     }

@@ -33,22 +33,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.trace.records import MissKind, Trace
+from repro.trace.records import MissKind, MissRecord, Trace
 
 
-@dataclass
 class RawAccess:
     """Who touched one raw element address within an epoch."""
 
-    readers: set[int] = field(default_factory=set)
-    writers: set[int] = field(default_factory=set)
+    __slots__ = ("readers", "writers")
+
+    def __init__(self) -> None:
+        self.readers: set[int] = set()
+        self.writers: set[int] = set()
 
     @property
     def nodes(self) -> set[int]:
         return self.readers | self.writers
 
 
-@dataclass
+def raw_access(records: list[MissRecord]) -> dict[int, RawAccess]:
+    """Raw addr -> who read and who wrote it, over one block's records."""
+    out: dict[int, RawAccess] = {}
+    read = MissKind.READ_MISS
+    for kind, addr, _pc, node, _epoch in records:
+        touch = out.get(addr)
+        if touch is None:
+            touch = out[addr] = RawAccess()
+        if kind is read:
+            touch.readers.add(node)
+        else:
+            touch.writers.add(node)
+    return out
+
+
+@dataclass(slots=True)
 class EpochAccess:
     """One processor's shared accesses within one epoch (block granular)."""
 
@@ -83,33 +100,47 @@ class EpochTable:
         self.num_epochs = trace.num_epochs()
         self._table: dict[int, dict[int, EpochAccess]] = {}
         self._touches: dict[int, list[tuple[int, int]]] | None = None
-        #: epoch -> block base -> raw addr -> RawAccess (for DRFS/reports)
-        self.raw: dict[int, dict[int, dict[int, RawAccess]]] = {}
+        #: epoch -> block base -> the block's miss records, in trace order
+        #: (the raw element addresses, for DRFS and the reports)
+        self._blocks: dict[int, dict[int, list[MissRecord]]] = {}
+        self._fold(trace.misses)
+
+    def _fold(self, misses: list[MissRecord]) -> None:
+        """One pass over the misses.  Records arrive grouped by epoch, so
+        the current epoch's node and block maps are looked up only when
+        the epoch changes (any order is still folded correctly)."""
         bs = self.block_size
-        for rec in trace.misses:
-            base = (rec.addr // bs) * bs
-            acc = self._table.setdefault(rec.epoch, {}).setdefault(
-                rec.node, EpochAccess()
-            )
-            raw = (
-                self.raw.setdefault(rec.epoch, {})
-                .setdefault(base, {})
-                .setdefault(rec.addr, RawAccess())
-            )
-            if rec.kind is MissKind.READ_MISS:
+        table, by_epoch = self._table, self._blocks
+        read, write = MissKind.READ_MISS, MissKind.WRITE_MISS
+        current = None
+        nodes: dict[int, EpochAccess] = {}
+        blocks: dict[int, list[MissRecord]] = {}
+        for rec in misses:
+            kind, addr, pc, node, epoch = rec
+            if epoch != current:
+                current = epoch
+                nodes = table.setdefault(epoch, {})
+                blocks = by_epoch.setdefault(epoch, {})
+            acc = nodes.get(node)
+            if acc is None:
+                acc = nodes[node] = EpochAccess()
+            base = (addr // bs) * bs
+            records = blocks.get(base)
+            if records is None:
+                blocks[base] = [rec]
+            else:
+                records.append(rec)
+            if kind is read:
                 acc.sr.add(base)
-                acc.read_pc.setdefault(base, rec.pc)
-                raw.readers.add(rec.node)
-            elif rec.kind is MissKind.WRITE_MISS:
-                acc.sw.add(base)
-                acc.write_pc.setdefault(base, rec.pc)
-                raw.writers.add(rec.node)
-            else:  # WRITE_FAULT
-                acc.wf.add(base)
-                acc.write_pc.setdefault(base, rec.pc)
-                raw.writers.add(rec.node)
+                acc.read_pc.setdefault(base, pc)
+            else:
+                if kind is write:
+                    acc.sw.add(base)
+                else:  # WRITE_FAULT
+                    acc.wf.add(base)
+                acc.write_pc.setdefault(base, pc)
         # Write-fault folding: faults join SW and leave SR.
-        for per_node in self._table.values():
+        for per_node in table.values():
             for acc in per_node.values():
                 acc.sw |= acc.wf
                 acc.sr -= acc.sw
@@ -124,8 +155,14 @@ class EpochTable:
     def epochs(self) -> list[int]:
         return sorted(self._table)
 
+    def blocks_in(self, epoch: int) -> dict[int, list[MissRecord]]:
+        """Block base -> the block's miss records in ``epoch``."""
+        return self._blocks.get(epoch, {})
+
     def raw_in(self, epoch: int) -> dict[int, dict[int, RawAccess]]:
-        return self.raw.get(epoch, {})
+        """Block base -> raw addr -> who read and who wrote it in ``epoch``."""
+        return {base: raw_access(records)
+                for base, records in self.blocks_in(epoch).items()}
 
     def sw_any(self, epoch: int) -> set[int]:
         """Union of SW over all processors in ``epoch`` (Performance CICO's

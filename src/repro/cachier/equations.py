@@ -123,18 +123,3 @@ def performance_cico(
         co_s=set(),
         ci=ci,
     )
-
-
-def all_epochs(
-    table: EpochTable,
-    drfs: dict[int, DrfsInfo],
-    policy: str,
-    history: int = 1,
-) -> dict[tuple[int, int], AnnotationSets]:
-    """Annotation sets for every (epoch, node) in the trace."""
-    fn = programmer_cico if policy == "programmer" else performance_cico
-    out: dict[tuple[int, int], AnnotationSets] = {}
-    for epoch in range(table.num_epochs):
-        for node in table.nodes_in(epoch):
-            out[(epoch, node)] = fn(table, drfs, epoch, node, history=history)
-    return out

@@ -13,17 +13,24 @@ Two jobs (paper Section 4.3):
 Symbolization can fail (scattered sets, non-rectangular footprints, no
 matching parameter): the caller then falls back to near-reference placement,
 which is also what the paper does for pointer-based programs.
+
+Symbolization is arithmetic: a dimension's index of flat index ``f`` is
+``(f // stride) % extent``, so each dimension's index set comes from one
+pass over the flat set, a footprint is a rectangle exactly when the
+product of those sets' sizes equals its element count, and no element is
+turned back into an index tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 from repro.errors import CachierError
 from repro.lang.ast import AnnotTarget, Const, Expr, Param, RangeSpec
 from repro.mem.labels import ArrayLabel
-from repro.util.intervals import as_progression
+from repro.util.intervals import sorted_progression
 
 
 class ParamEnv:
@@ -122,6 +129,14 @@ class SymbolizedTarget:
     max_bytes: int
 
 
+def _strides(label: ArrayLabel) -> list[int]:
+    """Per dimension, the flat-index distance between neighbouring indices."""
+    shape = label.shape
+    if label.order == "C":
+        return [prod(shape[d + 1:]) for d in range(len(shape))]
+    return [prod(shape[:d]) for d in range(len(shape))]
+
+
 def symbolize(
     label: ArrayLabel,
     per_node_flats: dict[int, set[int]],
@@ -132,27 +147,34 @@ def symbolize(
     Requires every participating node's footprint to be a *rectangle* (the
     cartesian product of a per-dimension arithmetic progression), with each
     dimension's bounds either equal across nodes or matched by a parameter.
+    A flat index outside the label raises :class:`LabelError`.
     """
     participating = {n: f for n, f in per_node_flats.items() if f}
     if not participating:
         return None
     ndim = len(label.shape)
-    # Per node, per dim: sorted value sets; plus rectangularity check.
+    count = label.num_elements
+    geometry = list(zip(_strides(label), label.shape))
+    # Per node, per dim: (start, stop, step); plus rectangularity check.
     per_dim_progs: list[dict[int, tuple[int, int, int]]] = [
         {} for _ in range(ndim)
     ]
     max_elems = 0
     for node, flats in participating.items():
-        tuples = [label.unflatten(f) for f in flats]
-        dims = [sorted({t[d] for t in tuples}) for d in range(ndim)]
-        size = 1
-        for vals in dims:
-            size *= len(vals)
-        if size != len(set(tuples)):
+        if min(flats) < 0 or max(flats) >= count:
+            # the first out-of-range index, named as unflatten names it
+            label.unflatten(next(f for f in flats if not 0 <= f < count))
+        if ndim == 1:
+            dims = [sorted(flats)]
+        else:
+            dims = [sorted({(f // stride) % extent for f in flats})
+                    for stride, extent in geometry]
+        size = prod(len(vals) for vals in dims)
+        if size != len(flats):
             return None  # not rectangular
         max_elems = max(max_elems, size)
         for d in range(ndim):
-            prog = as_progression(dims[d])
+            prog = sorted_progression(dims[d])
             if prog is None:
                 return None
             per_dim_progs[d][node] = prog
@@ -164,7 +186,7 @@ def symbolize(
             return None
         step = steps.pop()
         los = {node: lo for node, (lo, _, _) in progs.items()}
-        # as_progression's stop is (last element + 1): inclusive hi = stop - 1.
+        # a progression's stop is (last element + 1): inclusive hi = stop - 1.
         his = {node: hi - 1 for node, (_, hi, _) in progs.items()}
         singleton = all(los[n] == his[n] for n in progs)
         lo_expr = env.match_values(los)

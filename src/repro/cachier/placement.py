@@ -87,8 +87,10 @@ def merge_static_epochs(
     fn = programmer_cico if policy == "programmer" else performance_cico
     statics: dict[tuple[int, int], StaticEpoch] = {}
     instances: dict[tuple[int, int], list[int]] = {}
+    closing = trace.closing_pcs()
     for epoch in range(table.num_epochs):
-        instances.setdefault(trace.static_epoch_key(epoch), []).append(epoch)
+        key = trace.static_epoch_key(epoch, closing)
+        instances.setdefault(key, []).append(epoch)
     for key, dynamic in instances.items():
         static = statics.setdefault(key, StaticEpoch(key=key))
         static.dynamic.extend(dynamic)
@@ -183,17 +185,25 @@ class Planner:
         #: used to push check-ins past every later reference (Section 4.3).
         self.last_ref = last_ref or (lambda key, array: None)
 
-    def _block_flats(self, label, base: int) -> set[int]:
-        """Element flat indices of the block at ``base`` within ``label``.
+    def _element_sets(
+        self, label, per_node: dict[int, set[int]]
+    ) -> dict[int, set[int]]:
+        """Per node, the flat indices of the elements its blocks hold.
 
         Trace sets are block-granular; an annotation target must name the
-        *elements* the block holds (clipped to the labelled span)."""
-        first = max(base, label.region.base)
-        last = min(base + self.block_size, label.region.base
-                   + label.num_elements * label.elem_size)
-        lo = (first - label.region.base) // label.elem_size
-        hi = (last - label.region.base + label.elem_size - 1) // label.elem_size
-        return set(range(lo, min(hi, label.num_elements)))
+        *elements* each block holds (clipped to the labelled span).  Each
+        block adds one ``range`` to its node's set."""
+        origin, size = label.region.base, label.elem_size
+        count = label.num_elements
+        reach = self.block_size - origin + size - 1
+        out: dict[int, set[int]] = {}
+        for node, bases in per_node.items():
+            flats: set[int] = set()
+            for base in bases:
+                lo = (base - origin) // size if base > origin else 0
+                flats.update(range(lo, min((base + reach) // size, count)))
+            out[node] = flats
+        return out
 
     # ------------------------------------------------------------------ plan
     def plan(
@@ -285,20 +295,28 @@ class Planner:
 
         # ---- plain addresses: per array, joint co/ci mode decision ---------
         per_array: dict[str, dict[str, dict[int, set[int]]]] = {}
+        find = self.labels.find
         for node, sets in epoch.per_node.items():
             for kind_name, addrs in (
                 ("co_x", sets.co_x - drfs_addrs),
                 ("co_s", sets.co_s - drfs_addrs),
                 ("ci", sets.ci - drfs_addrs),
             ):
+                by_array: dict[str, set[int]] = {}
                 for addr in addrs:
-                    label = self.labels.find(addr)
+                    label = find(addr)
                     if label is None:
                         plan.warnings.append(f"unlabelled address {addr:#x} skipped")
                         continue
-                    per_array.setdefault(label.name, {}).setdefault(
+                    group = by_array.get(label.name)
+                    if group is None:
+                        by_array[label.name] = {addr}
+                    else:
+                        group.add(addr)
+                for array, group in by_array.items():
+                    per_array.setdefault(array, {}).setdefault(
                         kind_name, {}
-                    ).setdefault(node, set()).add(addr)
+                    )[node] = group
 
         for array in sorted(per_array):
             groups = per_array[array]
@@ -310,13 +328,8 @@ class Planner:
                 participants |= set(per_node)
                 if self.policy == "performance" and kind_name == "co_x":
                     continue  # performance co_x is always near the read
-                flats = {
-                    node: set().union(
-                        *(self._block_flats(label, addr) for addr in addrs)
-                    )
-                    for node, addrs in per_node.items()
-                }
-                sym = symbolize(label, flats, self.env)
+                sym = symbolize(label, self._element_sets(label, per_node),
+                                self.env)
                 symbolized[kind_name] = sym
                 if sym is None or sym.max_bytes > self.budget:
                     boundary_ok = False

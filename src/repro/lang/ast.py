@@ -28,9 +28,16 @@ from repro.errors import LangError
 
 
 class Expr:
-    """Base class for expressions (numeric values)."""
+    """Base class for expressions (numeric values).
+
+    Expressions are immutable, so a deep copy of a program shares them
+    (``__deepcopy__`` returns the node itself) and copies only statements.
+    """
 
     __slots__ = ()
+
+    def __deepcopy__(self, memo) -> "Expr":
+        return self
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,8 @@ from repro.lang.loops import StmtIndex
 
 
 def clone_program(program: Program) -> Program:
-    """Deep copy preserving statement pcs."""
+    """Deep copy preserving statement pcs.  Statements, blocks, functions
+    and the program are fresh; immutable expression nodes are shared."""
     return copy.deepcopy(program)
 
 

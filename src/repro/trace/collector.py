@@ -61,7 +61,7 @@ class TraceCollector:
         self._dump_epoch(epoch)
         for node, pc in sorted(event.node_pcs.items()):
             self._barriers.append(
-                BarrierRecord(node=node, barrier_pc=pc, vt=event.vt, epoch=epoch)
+                BarrierRecord(node, pc, event.vt, epoch)
             )
         self._current_epoch = epoch + 1
 
@@ -69,7 +69,7 @@ class TraceCollector:
     def _dump_epoch(self, epoch: int) -> None:
         for (node, addr, kind), pc in self._epoch_table.items():
             self._misses.append(
-                MissRecord(kind=kind, addr=addr, pc=pc, node=node, epoch=epoch)
+                MissRecord(kind, addr, pc, node, epoch)
             )
         self._epoch_table.clear()
 

@@ -15,12 +15,17 @@ header carrying machine geometry and the labelled-region table:
 ``miss`` fields: kind, addr, pc, node, epoch.
 ``barrier`` fields: node, barrier_pc, vt, epoch.
 ``label`` fields: name, base, nbytes, elem_size, order, shape...
+``meta block_size`` must be a positive power of two.
+
+One line parser serves :func:`read_trace`, :func:`trace_from_string` and
+:func:`salvage_trace`; they differ only in what a malformed line does.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import Callable, Iterator
 
 from repro.errors import TraceError
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
@@ -77,6 +82,19 @@ def read_trace(path: str | Path) -> Trace:
         return _read(fh)
 
 
+def trace_from_string(text: str) -> Trace:
+    return _read(iter(text.split("\n")))
+
+
+def _read(lines: Iterator[str]) -> Trace:
+    first = next(lines, "").rstrip("\n")
+    if first != _MAGIC:
+        raise TraceError(f"bad trace header {first!r}")
+    trace = Trace()
+    _parse(trace, lines)
+    return trace
+
+
 def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
     """Best-effort read of a possibly truncated or corrupted trace file.
 
@@ -89,7 +107,8 @@ def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
     round-trips identically to :func:`read_trace`.
 
     Raises :class:`~repro.errors.TraceError` when nothing is salvageable
-    (bad header, or no complete epoch survives).
+    (bad header, a header value no record can be read against, or no
+    complete epoch survives).
     """
     try:
         with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -108,20 +127,21 @@ def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
     skipped = 0
     # Epoch at the first point of damage: everything from it on is suspect.
     damage_epoch: int | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            _parse_line(trace, line, lineno)
-        except TraceError:
-            skipped += 1
-            damaged = True
-            if damage_epoch is None:
-                damage_epoch = max(
-                    (rec.epoch for rec in trace.barriers), default=-1
-                ) + 1
+
+    def skip(error: TraceError) -> None:
+        nonlocal skipped, damage_epoch
+        skipped += 1
+        if damage_epoch is None:
+            damage_epoch = max(
+                (rec.epoch for rec in trace.barriers), default=-1
+            ) + 1
+
+    try:
+        _parse(trace, iter(lines[1:]), skip)
+    except _HeaderError as exc:
+        raise TraceError(f"{path}: {exc} — nothing salvageable") from exc
     if skipped:
+        damaged = True
         warnings.append(f"skipped {skipped} malformed line(s)")
     if not trace.barriers:
         raise TraceError(
@@ -149,69 +169,95 @@ def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
     return trace, warnings
 
 
-def trace_from_string(text: str) -> Trace:
-    return _read(io.StringIO(text))
+class _HeaderError(TraceError):
+    """A header value no record can be read against: even
+    :func:`salvage_trace` refuses the file."""
 
 
-def _read(fh) -> Trace:
-    first = fh.readline().rstrip("\n")
-    if first != _MAGIC:
-        raise TraceError(f"bad trace header {first!r}")
-    trace = Trace()
-    for lineno, raw in enumerate(fh, start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+#: miss-record kind field -> MissKind
+_MISS_KINDS = {kind.value: kind for kind in MissKind}
+
+
+def _parse(
+    trace: Trace,
+    lines: Iterator[str],
+    on_error: Callable[[TraceError], None] | None = None,
+) -> None:
+    """Parse the record lines after the magic line (file line 2 on) into
+    ``trace``: the one parser behind every reader.
+
+    A malformed line raises a :class:`TraceError` naming it, or, when
+    ``on_error`` is given, is handed to it and skipped.  A bad header value
+    raises either way.  Miss lines, nearly all of a file, take a fast path:
+    a dict lookup for the kind and a positional record, built by
+    ``tuple.__new__`` without the Python-level ``MissRecord.__new__``.
+    """
+    add_miss = trace.misses.append
+    kinds = _MISS_KINDS
+    new_record = tuple.__new__
+    for lineno, raw in enumerate(lines, start=2):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        _parse_line(trace, line, lineno)
-    return trace
-
-
-def _parse_line(trace: Trace, line: str, lineno: int) -> None:
-    """Parse one record line into ``trace``; raises TraceError if malformed."""
-    parts = line.split()
-    tag = parts[0]
-    try:
-        if tag == "meta":
-            if parts[1] == "block_size":
-                trace.block_size = int(parts[2])
-            elif parts[1] == "num_nodes":
-                trace.num_nodes = int(parts[2])
+        try:
+            if parts[0] == "miss":
+                add_miss(new_record(MissRecord, (
+                    kinds[parts[1]], int(parts[2]), int(parts[3]),
+                    int(parts[4]), int(parts[5]),
+                )))
             else:
-                raise TraceError(f"line {lineno}: unknown meta {parts[1]!r}")
-        elif tag == "label":
-            name, base, nbytes, elem_size, order = parts[1:6]
-            shape = tuple(int(x) for x in parts[6:])
-            if not shape:
-                raise TraceError(f"line {lineno}: label without shape")
-            trace.labels.append(
-                LabelInfo(
-                    name=name,
-                    base=int(base),
-                    nbytes=int(nbytes),
-                    elem_size=int(elem_size),
-                    order=order,
-                    shape=shape,
-                )
+                _parse_record(trace, parts, lineno)
+            continue
+        except (KeyError, ValueError, IndexError):
+            error = TraceError(
+                f"line {lineno}: malformed record {raw.strip()!r}"
             )
-        elif tag == "miss":
-            kind, addr, pc, node, epoch = parts[1:6]
-            trace.misses.append(
-                MissRecord(
-                    kind=MissKind(kind),
-                    addr=int(addr),
-                    pc=int(pc),
-                    node=int(node),
-                    epoch=int(epoch),
+        except _HeaderError:
+            raise
+        except TraceError as exc:
+            error = exc
+        if on_error is None:
+            raise error
+        on_error(error)
+
+
+def _parse_record(trace: Trace, parts: list[str], lineno: int) -> None:
+    """Parse one meta, label or barrier line into ``trace``.  Raises
+    TraceError for a line it understands but rejects, and ValueError or
+    IndexError for a malformed one."""
+    tag = parts[0]
+    if tag == "meta":
+        if parts[1] == "block_size":
+            block_size = int(parts[2])
+            if block_size <= 0 or block_size & (block_size - 1):
+                raise _HeaderError(
+                    f"line {lineno}: block_size must be a positive power "
+                    f"of two, got {block_size}"
                 )
-            )
-        elif tag == "barrier":
-            node, pc, vt, epoch = parts[1:5]
-            trace.barriers.append(
-                BarrierRecord(
-                    node=int(node), barrier_pc=int(pc), vt=int(vt), epoch=int(epoch)
-                )
-            )
+            trace.block_size = block_size
+        elif parts[1] == "num_nodes":
+            trace.num_nodes = int(parts[2])
         else:
-            raise TraceError(f"line {lineno}: unknown record {tag!r}")
-    except (ValueError, IndexError) as exc:
-        raise TraceError(f"line {lineno}: malformed record {line!r}") from exc
+            raise TraceError(f"line {lineno}: unknown meta {parts[1]!r}")
+    elif tag == "label":
+        name, base, nbytes, elem_size, order = parts[1:6]
+        shape = tuple(int(x) for x in parts[6:])
+        if not shape:
+            raise TraceError(f"line {lineno}: label without shape")
+        trace.labels.append(
+            LabelInfo(
+                name=name,
+                base=int(base),
+                nbytes=int(nbytes),
+                elem_size=int(elem_size),
+                order=order,
+                shape=shape,
+            )
+        )
+    elif tag == "barrier":
+        node, pc, vt, epoch = parts[1:5]
+        trace.barriers.append(
+            BarrierRecord(int(node), int(pc), int(vt), int(epoch))
+        )
+    else:
+        raise TraceError(f"line {lineno}: unknown record {tag!r}")

@@ -9,12 +9,18 @@ an epoch records carry **no ordering**; epochs are ordered by barrier VT.
 The trace also carries the labelling information (Section 4.3's labelled
 regions) so the annotator can map raw addresses back to program data
 structures without re-running the program.
+
+:class:`MissRecord` and :class:`BarrierRecord` are immutable
+:class:`~typing.NamedTuple` records, built positionally: a trace holds one
+per miss, and the reader and the epoch fold touch each one once, so a
+record costs one tuple allocation and its fields unpack like a tuple's.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.coherence.protocol import AccessKind
 from repro.errors import TraceError
@@ -42,8 +48,7 @@ _FROM_ACCESS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class MissRecord:
+class MissRecord(NamedTuple):
     kind: MissKind
     addr: int
     pc: int
@@ -51,8 +56,7 @@ class MissRecord:
     epoch: int
 
 
-@dataclass(frozen=True, slots=True)
-class BarrierRecord:
+class BarrierRecord(NamedTuple):
     node: int
     barrier_pc: int
     vt: int
@@ -100,22 +104,23 @@ class Trace:
 
     def num_epochs(self) -> int:
         """Epochs are numbered from 0; the final epoch may lack a barrier."""
-        last = -1
-        for rec in self.misses:
-            last = max(last, rec.epoch)
-        for rec in self.barriers:
-            last = max(last, rec.epoch)
-        return last + 1
+        last = max((rec.epoch for rec in self.misses), default=-1)
+        return max(last, max((rec.epoch for rec in self.barriers), default=-1)) + 1
 
     def misses_in(self, epoch: int) -> list[MissRecord]:
         return [rec for rec in self.misses if rec.epoch == epoch]
 
+    def closing_pcs(self) -> dict[int, int]:
+        """Epoch -> the barrier PC that closed it (its first barrier record;
+        the same for all nodes in SPMD), from one scan of the barriers."""
+        out: dict[int, int] = {}
+        for rec in self.barriers:
+            out.setdefault(rec.epoch, rec.barrier_pc)
+        return out
+
     def barrier_pc_closing(self, epoch: int) -> int | None:
         """Barrier PC that closed ``epoch`` (same for all nodes in SPMD)."""
-        for rec in self.barriers:
-            if rec.epoch == epoch:
-                return rec.barrier_pc
-        return None
+        return self.closing_pcs().get(epoch)
 
     def label_table(self) -> LabelTable:
         table = LabelTable()
@@ -123,11 +128,14 @@ class Trace:
             table.add(info.to_label())
         return table
 
-    def static_epoch_key(self, epoch: int) -> tuple[int, int]:
+    def static_epoch_key(
+        self, epoch: int, closing: dict[int, int] | None = None
+    ) -> tuple[int, int]:
         """(opening barrier pc, closing barrier pc) identifying the *static*
         epoch; -1 stands for program start / program end.  Dynamic epochs with
-        equal keys are re-executions of the same program region."""
-        opening = self.barrier_pc_closing(epoch - 1) if epoch > 0 else -1
-        closing = self.barrier_pc_closing(epoch)
-        return (opening if opening is not None else -1,
-                closing if closing is not None else -1)
+        equal keys are re-executions of the same program region.  Pass
+        :meth:`closing_pcs` as ``closing`` to key many epochs from one scan."""
+        if closing is None:
+            closing = self.closing_pcs()
+        opening = closing.get(epoch - 1, -1) if epoch > 0 else -1
+        return opening, closing.get(epoch, -1)

@@ -177,12 +177,20 @@ def as_progression(indices: Iterable[int]) -> tuple[int, int, int] | None:
     seq = sorted(set(int(i) for i in indices))
     if not seq:
         return None
+    return sorted_progression(seq)
+
+
+def sorted_progression(seq: list[int]) -> tuple[int, int, int] | None:
+    """:func:`as_progression` of a non-empty, sorted list of distinct
+    integers, which it reads in place."""
+    first, last = seq[0], seq[-1]
     if len(seq) == 1:
-        return seq[0], seq[0] + 1, 1
-    step = seq[1] - seq[0]
-    if step <= 0:
+        return first, first + 1, 1
+    step = seq[1] - first
+    # n distinct sorted values spanning step * (n - 1): with step 1 they
+    # are contiguous, a larger step needs every value checked
+    if last - first != step * (len(seq) - 1):
         return None
-    for prev, cur in zip(seq, seq[1:]):
-        if cur - prev != step:
-            return None
-    return seq[0], seq[-1] + 1, step
+    if step > 1 and seq != list(range(first, last + 1, step)):
+        return None
+    return first, last + 1, step

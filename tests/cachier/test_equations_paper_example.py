@@ -55,7 +55,7 @@ def table_and_drfs():
     ]
     trace = Trace(misses=recs, block_size=BLOCK)
     table = EpochTable(trace)
-    return table, detect_all(table, BLOCK)
+    return table, detect_all(table)
 
 
 class TestPaperExample:
@@ -107,7 +107,7 @@ class TestEquationProperties:
             MissRecord(MissKind.WRITE_FAULT, A, 2, P, 0),
         ]
         table = EpochTable(Trace(misses=recs, block_size=BLOCK))
-        drfs = detect_all(table, BLOCK)
+        drfs = detect_all(table)
         perf = performance_cico(table, drfs, 0, P)
         assert perf.co_x == {A}
 
@@ -118,7 +118,7 @@ class TestEquationProperties:
             MissRecord(MissKind.WRITE_FAULT, A, 3, P, 1),
         ]
         table = EpochTable(Trace(misses=recs, block_size=BLOCK))
-        drfs = detect_all(table, BLOCK)
+        drfs = detect_all(table)
         # Programmer: a was in SW_0, so epoch 1 needs no co_x.
         assert programmer_cico(table, drfs, 1, P).co_x == set()
         # Performance: same suppression for the fault-driven co_x.
@@ -130,7 +130,7 @@ class TestEquationProperties:
             MissRecord(MissKind.WRITE_MISS, A, 2, Q, 1),
         ]
         table = EpochTable(Trace(misses=recs, block_size=BLOCK))
-        drfs = detect_all(table, BLOCK)
+        drfs = detect_all(table)
         perf = performance_cico(table, drfs, 0, P)
         assert perf.ci == {A}
 
@@ -140,7 +140,7 @@ class TestEquationProperties:
             MissRecord(MissKind.WRITE_MISS, A, 2, P, 1),
         ]
         table = EpochTable(Trace(misses=recs, block_size=BLOCK))
-        drfs = detect_all(table, BLOCK)
+        drfs = detect_all(table)
         assert performance_cico(table, drfs, 0, P).ci == set()
 
     def test_last_epoch_checks_everything_in(self):
@@ -150,5 +150,5 @@ class TestEquationProperties:
             MissRecord(MissKind.READ_MISS, C, 2, P, 0),
         ]
         table = EpochTable(Trace(misses=recs, block_size=BLOCK))
-        drfs = detect_all(table, BLOCK)
+        drfs = detect_all(table)
         assert programmer_cico(table, drfs, 0, P).ci == {A, C}

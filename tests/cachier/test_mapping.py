@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cachier.mapping import ParamEnv, symbolize
-from repro.errors import CachierError
+from repro.errors import CachierError, LabelError
 from repro.lang.ast import Bin, Const, Param
 from repro.lang.unparse import target_str
 from repro.mem.labels import ArrayLabel
@@ -109,6 +109,18 @@ class TestSymbolize:
         flats = {0: set(range(0, 64, 2))}
         sym = symbolize(label, flats, env)
         assert target_str(sym.target) == "A[0:62:2]"
+
+    def test_strided_set_with_a_moved_element_fails(self):
+        # first step 2 and span 6 match 0:6:2, but 3 is off the stride
+        label = label_2d(shape=(64,))
+        env = env_of([{}])
+        assert symbolize(label, {0: {0, 2, 3, 6}}, env) is None
+
+    def test_flat_index_out_of_range_raises(self):
+        label = label_2d()
+        env = env_of([{}])
+        with pytest.raises(LabelError, match="flat index 64 out of bounds"):
+            symbolize(label, {0: {0, 1, 64}}, env)
 
     def test_non_rectangular_fails(self):
         label = label_2d()

@@ -65,6 +65,29 @@ def test_annotate_cli_salvages_truncated_trace(tmp_path, capsys):
     assert "// annotations:" in out  # annotation still completed
 
 
+@pytest.mark.parametrize("block_size", [0, 24])
+def test_annotate_cli_rejects_bad_trace_block_size(tmp_path, capsys, block_size):
+    from repro.cachier.cli import main
+
+    path = tmp_path / "full.trace"
+    assert main(["--workload", "matmul_racing", "--save-trace", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="ascii")
+    assert "\nmeta block_size 32\n" in text
+    bad = tmp_path / "bad.trace"
+    bad.write_text(text.replace("\nmeta block_size 32\n",
+                                f"\nmeta block_size {block_size}\n"),
+                   encoding="ascii")
+    rc = main(["--workload", "matmul_racing", "--trace", str(bad)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"cachier-annotate: error: {bad}: line 2: block_size must be a "
+        f"positive power of two, got {block_size} — nothing salvageable\n"
+    )
+    assert captured.out == ""
+
+
 def test_verify_cli_unknown_workload(capsys):
     from repro.verify.cli import main
 

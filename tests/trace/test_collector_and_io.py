@@ -130,6 +130,20 @@ class TestFileIO:
         with pytest.raises(TraceError):
             trace_from_string("# cachier-trace v1\nmiss read_miss oops\n")
 
+    @pytest.mark.parametrize("block_size", [0, -32, 24])
+    def test_block_size_must_be_a_positive_power_of_two(self, tmp_path, block_size):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            f"# cachier-trace v1\nmeta block_size {block_size}\nmeta num_nodes 2\n",
+            encoding="ascii",
+        )
+        with pytest.raises(
+            TraceError,
+            match=f"^line 2: block_size must be a positive power of two, "
+                  f"got {block_size}$",
+        ):
+            read_trace(path)
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(TraceError):
             trace_from_string("# cachier-trace v1\nbogus 1 2 3\n")

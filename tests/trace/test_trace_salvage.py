@@ -8,6 +8,8 @@ round-trip identically to ``read_trace``; hopeless files are refused.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import TraceError
@@ -161,6 +163,22 @@ def test_bad_header_is_not_salvageable(tmp_path):
     path = tmp_path / "bad.trace"
     path.write_text("not a trace\nmiss read_miss 1 2 3 0\n", encoding="ascii")
     with pytest.raises(TraceError, match="header"):
+        salvage_trace(path)
+
+
+@pytest.mark.parametrize("block_size", [0, 24])
+def test_bad_block_size_is_not_salvageable(tmp_path, block_size):
+    """Every epoch is whole, but no record can be folded against a block
+    size that is not a positive power of two."""
+    trace = _trace()
+    trace.block_size = block_size
+    path = tmp_path / "bad.trace"
+    write_trace(trace, path)
+    with pytest.raises(
+        TraceError,
+        match=f"^{re.escape(str(path))}: line 2: block_size must be a "
+              f"positive power of two, got {block_size} — nothing salvageable$",
+    ):
         salvage_trace(path)
 
 

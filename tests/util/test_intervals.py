@@ -142,6 +142,20 @@ class TestAsProgression:
     def test_duplicates_ignored(self):
         assert as_progression([5, 1, 3, 3, 1]) == (1, 6, 2)
 
+    def test_span_and_first_step_of_a_progression_are_not_enough(self):
+        assert as_progression([0, 2, 3, 6]) is None
+        assert as_progression([0, 1, 1, 3]) is None
+
+    @given(st.lists(st.integers(-6, 6), max_size=6))
+    def test_matches_definition(self, xs):
+        seq = sorted(set(xs))
+        want = None
+        if len(seq) == 1:
+            want = (seq[0], seq[0] + 1, 1)
+        elif seq and all(b - a == seq[1] - seq[0] for a, b in zip(seq, seq[1:])):
+            want = (seq[0], seq[-1] + 1, seq[1] - seq[0])
+        assert as_progression(xs) == want
+
     @given(
         st.integers(-20, 20),
         st.integers(1, 5),
