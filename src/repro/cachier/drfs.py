@@ -65,37 +65,28 @@ def detect_drfs(
 ) -> DrfsInfo:
     """Classify epoch ``epoch``'s blocks.
 
-    Most blocks hold one raw address, and only the race test applies to
-    them.  In a block of several, a raw address is compared with the nodes
-    of the block's *other* addresses.  Every raw address in the table has
-    at least one node, so those others are never empty, and they follow
-    from per-node address counts: the address is falsely shared unless
-    every node touching the block touches it and each of those nodes also
+    Most blocks are touched by one node alone, which can neither race nor
+    falsely share; only the others are classified per raw address.  False
+    sharing compares an address's nodes with those of the block's *other*
+    addresses.  Every raw address has at least one node, so with two or
+    more addresses those others are never empty, and they follow from
+    per-node address counts: an address is falsely shared unless every
+    node touching the block touches it and each of those nodes also
     touches another address of the block.
     """
     info = DrfsInfo()
     for base, records in table.blocks_in(epoch).items():
         if len(records) == 1 or len({rec.node for rec in records}) == 1:
-            continue  # a block only one node touches: no race, no sharing
-        addr_map = raw_access(records)
-        if len(addr_map) == 1:
-            ((addr, raw),) = addr_map.items()
-            writers = raw.writers
-            # Data race: one raw address, >= 2 nodes, >= 1 writer.
-            if writers and (len(writers) > 1 or not raw.readers <= writers):
-                nodes = raw.readers | writers
-                info.races.add(base)
-                info.race_nodes.setdefault(base, set()).update(nodes)
-                info.race_addrs.setdefault(base, set()).add(addr)
             continue
         any_write = False
         counts: dict[int, int] = {}
         touched: list[tuple[int, set[int]]] = []
-        for addr, raw in addr_map.items():
+        for addr, raw in raw_access(records).items():
             nodes = raw.readers | raw.writers
             touched.append((addr, nodes))
             if raw.writers:
                 any_write = True
+                # Data race: one raw address, >= 2 nodes, >= 1 writer.
                 if len(nodes) >= 2:
                     info.races.add(base)
                     info.race_nodes.setdefault(base, set()).update(nodes)
@@ -104,7 +95,7 @@ def detect_drfs(
                 counts[node] = counts.get(node, 0) + 1
         # False sharing: different raw addresses of one block touched by
         # different nodes.
-        if require_write and not any_write:
+        if len(touched) < 2 or (require_write and not any_write):
             continue
         flagged = {
             addr for addr, nodes in touched

@@ -16,13 +16,18 @@ Granularity: check-out/check-in operate on *cache blocks* ("the cache block
 containing a specified address"), and a trace miss record names whichever
 element of the block happened to fault first — re-misses on a ping-ponging
 block can record several different elements of one block.  The sets above
-are therefore canonicalized to **block base addresses**.  The raw element
-addresses are retained per block for two consumers that need them:
+are therefore canonicalized to **block base addresses**.  Each block's
+miss records are retained, raw element addresses included, for two
+consumers that need them:
 
 * DRFS classification — a *data race* is two processors on the same raw
   address, *false sharing* is two processors on different raw addresses of
   the same block (Section 4);
 * the programmer-facing sharing report.
+
+Most blocks have one record in an epoch, so who read and who wrote each raw
+address (:func:`raw_access`) is derived only for the blocks DRFS asks about.
+The table is built in one pass over the misses (:meth:`EpochTable._fold`).
 
 PCs are retained per block so the placement stage can find the referencing
 statements: ``read_pc`` maps a block address to the pc of its first read

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import TraceError
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
@@ -137,7 +137,7 @@ def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
             ) + 1
 
     try:
-        _parse(trace, iter(lines[1:]), skip)
+        _parse(trace, lines[1:], skip)
     except _HeaderError as exc:
         raise TraceError(f"{path}: {exc} — nothing salvageable") from exc
     if skipped:
@@ -180,7 +180,7 @@ _MISS_KINDS = {kind.value: kind for kind in MissKind}
 
 def _parse(
     trace: Trace,
-    lines: Iterator[str],
+    lines: Iterable[str],
     on_error: Callable[[TraceError], None] | None = None,
 ) -> None:
     """Parse the record lines after the magic line (file line 2 on) into

@@ -178,6 +178,19 @@ class TestFalseSharing:
         ])
         assert detect_drfs(EpochTable(t), 0).false_shared == set()
 
+    def test_nodes_sharing_every_address_are_not_false_sharing(self):
+        """Both nodes touch both addresses: each address races, but no
+        node is missing from, or alone on, either address."""
+        t = trace_of([
+            (MissKind.WRITE_MISS, 100, 1, 0, 0),
+            (MissKind.READ_MISS, 108, 2, 0, 0),
+            (MissKind.READ_MISS, 100, 3, 1, 0),
+            (MissKind.WRITE_MISS, 108, 4, 1, 0),
+        ])
+        info = detect_drfs(EpochTable(t), 0)
+        assert info.race_addrs[96] == {100, 108}
+        assert info.false_shared == set()
+
     def test_race_and_fs_can_coexist_on_a_block(self):
         t = trace_of([
             (MissKind.WRITE_MISS, 100, 1, 0, 0),

@@ -88,6 +88,49 @@ def test_false_sharing_never_misses_oracle_positives(pattern):
     assert fs_blocks <= got
 
 
+def union_rule(pattern, require_write):
+    """The detector's own false-sharing rule, spelled out per address: a
+    raw address is flagged when the union of its block's *other* addresses'
+    nodes holds a node it lacks, or it holds a node none of them has.
+    Returns block base -> flagged addresses."""
+    blocks: dict[int, dict[int, set[int]]] = {}
+    written = set()
+    for node, elem, is_write in pattern:
+        addr = elem * 8
+        blocks.setdefault(addr // BS * BS, {}).setdefault(addr, set()).add(node)
+        if is_write:
+            written.add(addr // BS * BS)
+    out = {}
+    for base, addr_map in blocks.items():
+        if require_write and base not in written:
+            continue
+        for addr, mine in addr_map.items():
+            others = set().union(*(nodes for other, nodes in addr_map.items()
+                                   if other != addr))
+            if others - mine or (others and mine - others):
+                out.setdefault(base, set()).add(addr)
+    return out
+
+
+#: few nodes on two blocks: nodes share addresses as often as not
+dense_accesses = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 7), st.booleans()),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(accesses, dense_accesses), st.booleans())
+def test_false_sharing_flags_exactly_the_union_rule(pattern, require_write):
+    """The detector counts nodes per address instead of building each
+    address's union of others; the flagged addresses must not change."""
+    info = detect_drfs(EpochTable(to_trace(pattern)), 0,
+                       require_write=require_write)
+    want = union_rule(pattern, require_write)
+    assert info.fs_addrs == want
+    assert info.false_shared == set(want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(accesses)
 def test_drfs_sets_are_subsets_of_touched_blocks(pattern):
