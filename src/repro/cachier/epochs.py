@@ -27,7 +27,6 @@ consumers that need them:
 
 Most blocks have one record in an epoch, so who read and who wrote each raw
 address (:func:`raw_access`) is derived only for the blocks DRFS asks about.
-The table is built in one pass over the misses (:meth:`EpochTable._fold`).
 
 PCs are retained per block so the placement stage can find the referencing
 statements: ``read_pc`` maps a block address to the pc of its first read
@@ -41,14 +40,12 @@ from dataclasses import dataclass, field
 from repro.trace.records import MissKind, MissRecord, Trace
 
 
+@dataclass
 class RawAccess:
     """Who touched one raw element address within an epoch."""
 
-    __slots__ = ("readers", "writers")
-
-    def __init__(self) -> None:
-        self.readers: set[int] = set()
-        self.writers: set[int] = set()
+    readers: set[int] = field(default_factory=set)
+    writers: set[int] = field(default_factory=set)
 
     @property
     def nodes(self) -> set[int]:
@@ -70,7 +67,7 @@ def raw_access(records: list[MissRecord]) -> dict[int, RawAccess]:
     return out
 
 
-@dataclass(slots=True)
+@dataclass
 class EpochAccess:
     """One processor's shared accesses within one epoch (block granular)."""
 
@@ -108,19 +105,16 @@ class EpochTable:
         #: epoch -> block base -> the block's miss records, in trace order
         #: (the raw element addresses, for DRFS and the reports)
         self._blocks: dict[int, dict[int, list[MissRecord]]] = {}
-        self._fold(trace.misses)
-
-    def _fold(self, misses: list[MissRecord]) -> None:
-        """One pass over the misses.  Records arrive grouped by epoch, so
-        the current epoch's node and block maps are looked up only when
-        the epoch changes (any order is still folded correctly)."""
+        # One pass over the misses.  Records arrive grouped by epoch, so the
+        # current epoch's node and block maps are looked up only when the
+        # epoch changes (any order is still folded correctly).
         bs = self.block_size
         table, by_epoch = self._table, self._blocks
         read, write = MissKind.READ_MISS, MissKind.WRITE_MISS
         current = None
         nodes: dict[int, EpochAccess] = {}
         blocks: dict[int, list[MissRecord]] = {}
-        for rec in misses:
+        for rec in trace.misses:
             kind, addr, pc, node, epoch = rec
             if epoch != current:
                 current = epoch
@@ -138,11 +132,11 @@ class EpochTable:
             if kind is read:
                 acc.sr.add(base)
                 acc.read_pc.setdefault(base, pc)
-            else:
-                if kind is write:
-                    acc.sw.add(base)
-                else:  # WRITE_FAULT
-                    acc.wf.add(base)
+            elif kind is write:
+                acc.sw.add(base)
+                acc.write_pc.setdefault(base, pc)
+            else:  # WRITE_FAULT
+                acc.wf.add(base)
                 acc.write_pc.setdefault(base, pc)
         # Write-fault folding: faults join SW and leave SR.
         for per_node in table.values():

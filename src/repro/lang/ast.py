@@ -30,8 +30,8 @@ from repro.errors import LangError
 class Expr:
     """Base class for expressions (numeric values).
 
-    Expressions are immutable, so a deep copy of a program shares them
-    (``__deepcopy__`` returns the node itself) and copies only statements.
+    Expressions are immutable, so a deep copy of a program shares them:
+    ``__deepcopy__`` returns the node itself.
     """
 
     __slots__ = ()
