@@ -82,7 +82,7 @@ def detect_drfs(
         counts: dict[int, int] = {}
         touched: list[tuple[int, set[int]]] = []
         for addr, raw in raw_access(records).items():
-            nodes = raw.readers | raw.writers
+            nodes = raw.nodes
             touched.append((addr, nodes))
             if raw.writers:
                 any_write = True
