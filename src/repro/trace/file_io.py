@@ -31,6 +31,13 @@ from repro.errors import TraceError
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
 
 _MAGIC = "# cachier-trace v1"
+#: miss-record kind field -> MissKind
+_MISS_KINDS = {kind.value: kind for kind in MissKind}
+
+
+class _HeaderError(TraceError):
+    """A header value no record can be read against: even
+    :func:`salvage_trace` refuses the file."""
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -167,15 +174,6 @@ def salvage_trace(path: str | Path) -> tuple[Trace, list[str]]:
             f"annotating from the {drop_from} complete epoch(s) only"
         )
     return trace, warnings
-
-
-class _HeaderError(TraceError):
-    """A header value no record can be read against: even
-    :func:`salvage_trace` refuses the file."""
-
-
-#: miss-record kind field -> MissKind
-_MISS_KINDS = {kind.value: kind for kind in MissKind}
 
 
 def _parse(
