@@ -227,7 +227,8 @@ def _target_blocks(evaluator: _Evaluator, annot: Annot, program: Program,
     fallback = 0
     for target in annot.targets:
         decl = program.arrays.get(target.array)
-        if decl is None:
+        if decl is None or len(target.specs) != len(decl.shape):
+            # the interpreter raises on either when the directive runs
             exact = False
             fallback += 1
             continue

@@ -153,3 +153,44 @@ class TestStaticSectionFiveCounts:
             block_size=spec.config.block_size,
         )
         assert report.checkouts() == 8 ** 3
+
+
+class TestTargetRank:
+    """A target whose index count differs from its array's rank is an
+    inexact fallback, as an unknown array is: the interpreter refuses to
+    run it."""
+
+    @pytest.mark.parametrize("target", ["A[me, 1]", "A[0:3, 1, 2]",
+                                        "B[1]", "B[0:3]"])
+    def test_counts_as_inexact_fallback(self, target):
+        from repro.lang.parse import parse_program
+
+        program = parse_program(
+            "array A[8] elem=8 order=C\narray B[4, 4] elem=8 order=C\n"
+            f"check_in {target}\n"
+        )
+        report = estimate_costs(program, lambda n: {}, 1)
+        (site,) = report.per_node[0]
+        assert not site.exact
+        assert site.blocks_per_execution == 1
+
+
+class TestCliErrors:
+    """Program errors in ``cachier-annotate --source`` exit 2 with the
+    one-line diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("check_in A[me, 1]", "A: expected 1 indices, got 2"),
+        ("x = sqrt(0 - 1)", "math domain error"),
+        ("x = exp(1000)", "math range error"),
+    ])
+    def test_source_error_is_one_line(self, tmp_path, capsys, line, message):
+        from repro.cachier.cli import main
+
+        source = tmp_path / "bad.cico"
+        source.write_text(f"array A[8] elem=8 order=C\n\nA[me] = 1\n{line}\n")
+        assert main(["--source", str(source), "--nodes", "2",
+                     "--cost-report"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cachier-annotate: error: ")
+        assert err.endswith(f"{message}\n") and err.count("\n") == 1

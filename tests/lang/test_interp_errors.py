@@ -112,3 +112,54 @@ def test_private_load_with_shared_index():
     )
     assert store.array("OUT")[0] == 9.0
     assert result.stats.accesses == 3
+
+
+class TestTargetRank:
+    """A CICO target whose index count differs from its array's rank.  An
+    over-long target used to run with its extra specs dropped."""
+
+    @pytest.mark.parametrize("target, message", [
+        ("A[me, 1]", "A: expected 1 indices, got 2"),
+        ("A[0:3, 1]", "A: expected 1 indices, got 2"),
+        ("P2[1]", "P2: expected 2 indices, got 1"),
+        ("P2[5:9]", "P2: expected 2 indices, got 1"),  # clipped to nothing
+    ])
+    def test_raises_when_the_annotation_runs(self, target, message):
+        with pytest.raises(LabelError, match=message):
+            run(f"array P2[4, 4] elem=8 order=C\ncheck_in {target}\n")
+
+    def test_only_when_executed(self):
+        _, store = run("array P2[4, 4] elem=8 order=C\n"
+                       + guarded(99, "  check_in A[me, 1]\n  check_in P2[1]\n"))
+        assert store.array("OUT")[1] == 7
+
+
+#: ``y`` is infinite: a float product overflows to inf without an error
+INF = "y = exp(700) * exp(700)\n"
+MATH_ERRORS = {
+    "sqrt of a negative": ("x = sqrt(0 - 1)\n", "math domain error"),
+    "exp overflow": ("x = exp(1000)\n", "math range error"),
+    "floor of NaN": (INF + "x = floor(y - y)\n",
+                     "cannot convert float NaN to integer"),
+    "floor of infinity": (INF + "x = floor(y)\n",
+                          "cannot convert float infinity to integer"),
+    "NaN index": (INF + "A[y - y] = 1\n",
+                  "cannot convert float NaN to integer"),
+    "infinite loop bound": (INF + "for i = 0 to y do\n  A[1] = i\nod\n",
+                            "cannot convert float infinity to integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATH_ERRORS))
+def test_math_error_is_an_interp_error(case):
+    text, reason = MATH_ERRORS[case]
+    with pytest.raises(InterpError, match=f"^node 0: {reason}$"):
+        run(text, nodes=1)
+
+
+@pytest.mark.parametrize("case", sorted(MATH_ERRORS))
+def test_math_error_only_when_executed(case):
+    text, _ = MATH_ERRORS[case]
+    body = "".join("  " + line + "\n" for line in text.splitlines())
+    _, store = run(guarded(99, body), nodes=1)
+    assert store.array("OUT")[1] == 7

@@ -94,24 +94,28 @@ def test_interpreter_matches_python(expr):
 @settings(max_examples=30, deadline=None)
 @given(trees(3))
 def test_purity_analysis_never_lies(expr):
-    """Expressions without Loads must compile to the plain (non-generator)
-    path, with one compute cycle per operator."""
-    import inspect
-
-    from repro.lang.interp import Interpreter
+    """An expression without Loads reaches the memory system only through
+    the store it feeds: storing it yields exactly one event, which carries
+    one compute cycle per operator plus one for the store."""
     from repro.lang.ast import ArrayDecl, Function, Program, number_program
+    from repro.lang.interp import Interpreter
+    from repro.machine.events import EV_REF
 
     program = number_program(
         Program(
             name="p",
             arrays={"OUT": ArrayDecl("OUT", (1,))},
-            functions={"main": Function("main", (), [])},
+            functions={"main": Function("main", (), [
+                Store(array="OUT", indices=(Const(0),), expr=expr)
+            ])},
         )
     )
-    code = Interpreter(program).compiler.expr(expr, pc=1)
-    assert not code.gen
-    assert not inspect.isgeneratorfunction(code.fn)
-    assert code.count == _operators(expr)
+    interp = Interpreter(program, params_fn=lambda node: PARAMS)
+    events = list(interp.kernel(0))
+    assert len(events) == 1
+    code, compute, _, is_write, _ = events[0]
+    assert (code, is_write) == (EV_REF, True)
+    assert compute == _operators(expr) + 1
 
 
 def _operators(expr: Expr) -> int:
