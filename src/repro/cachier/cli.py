@@ -145,7 +145,8 @@ def _main(argv=None) -> int:
     if args.obs or args.trace_out:
         from repro.obs.session import Observer
 
-        observer = Observer(meta={"name": spec.name, "mode": "trace"})
+        observer = Observer(chrome=bool(args.trace_out),
+                            meta={"name": spec.name, "mode": "trace"})
     if args.trace:
         trace, salvage_warnings = salvage_trace(args.trace)
         for warning in salvage_warnings:

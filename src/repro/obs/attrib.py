@@ -120,8 +120,8 @@ class _Cell:
         return self.read_miss + self.write_miss + self.write_fault
 
 
+_HIT = AccessKind.HIT
 _KIND_FIELD = {
-    AccessKind.HIT: "hits",
     AccessKind.READ_MISS: "read_miss",
     AccessKind.WRITE_MISS: "write_miss",
     AccessKind.WRITE_FAULT: "write_fault",
@@ -272,27 +272,36 @@ class AttributionProfiler:
 
     # ---------------------------------------------------------- handlers
     def _on_access(self, ev: AccessEvent) -> None:
-        block = ev.addr >> self._shift
+        node, epoch, addr, pc, _write, _t, result = ev
+        block = addr >> self._shift
         label, array = self._blocks.get(block) or self._block_label(block)
-        cell = self._cell(array, ev.pc, ev.epoch)
-        kind = ev.result.kind
-        setattr(cell, _KIND_FIELD[kind], getattr(cell, _KIND_FIELD[kind]) + 1)
-        if self._pending:
-            self._fold_pending(ev.node, ev.pc, ev.epoch)
-        pair = (ev.node, block)
-        entry = self._audit.outstanding.get(pair)
-        if entry is not None:
-            entry[1] = True  # the check-out's block got re-referenced
-        if kind is AccessKind.HIT:
+        key = (array, pc, epoch)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = _Cell()
+        audit = self._audit
+        if audit.outstanding:
+            entry = audit.outstanding.get((node, block))
+            if entry is not None:
+                entry[1] = True  # the check-out's block got re-referenced
+        kind = result.kind
+        if kind is _HIT:
+            cell.hits += 1
             return
-        cell.stall += ev.result.cycles
-        self._audit.missed_pairs.add(pair)
-        if self._audit.checked_in.pop(pair, None) is not None:
-            self._audit.premature_checkins += 1
+        # only a miss's slow path publishes traps and recalls
+        if self._pending:
+            self._fold_pending(node, pc, epoch)
+        field_name = _KIND_FIELD[kind]
+        setattr(cell, field_name, getattr(cell, field_name) + 1)
+        cell.stall += result.cycles
+        pair = (node, block)
+        audit.missed_pairs.add(pair)
+        if audit.checked_in.pop(pair, None) is not None:
+            audit.premature_checkins += 1
         if label is not None:
-            self._foot.setdefault((array, ev.epoch), {}).setdefault(
-                ev.node, set()
-            ).update(self._block_flats(label, pair[1]))
+            self._foot.setdefault((array, epoch), {}).setdefault(
+                node, set()
+            ).update(self._block_flats(label, block))
 
     def _on_directive(self, ev: DirectiveEvent) -> None:
         audit = self._audit

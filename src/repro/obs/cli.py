@@ -130,7 +130,7 @@ def _cmd_run(args) -> int:
 
     spec, program = _resolve_variant(args.workload, args.variant, args.policy)
     observer = Observer(
-        include_hits=args.include_hits,
+        chrome=bool(args.trace_out), include_hits=args.include_hits,
         meta={
             "name": f"{spec.name}/{args.variant}",
             "workload": args.workload,
@@ -214,7 +214,7 @@ def _cmd_profile(args) -> int:
             args.workload, args.variant, args.policy
         )
         observer = Observer(
-            chrome=False, profile=True,
+            profile=True,
             meta={"name": f"{spec.name}/{args.variant}",
                   "workload": args.workload, "variant": args.variant},
         )
@@ -463,7 +463,8 @@ def _main(argv=None) -> int:
     run_p.add_argument("--manifest-out", metavar="PATH",
                        help="write the JSONL run manifest")
     run_p.add_argument("--include-hits", action="store_true",
-                       help="record cache hits as trace spans too (verbose)")
+                       help="with --trace-out, record cache hits as trace "
+                            "spans too (verbose)")
     run_p.add_argument("--faults", type=int, metavar="SEED", default=None,
                        help="inject the seeded fault tape (repro.faults); "
                             "timing and traffic change, architectural "
@@ -622,6 +623,8 @@ def _main(argv=None) -> int:
     hist_p.set_defaults(func=_cmd_history)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.include_hits and not args.trace_out:
+        run_p.error("--include-hits requires --trace-out")
     return args.func(args)
 
 

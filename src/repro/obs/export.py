@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
+from repro.errors import ObsError
 from repro.obs.session import NETWORK_PID, Observation
 
 MANIFEST_VERSION = 1
@@ -34,8 +35,18 @@ MANIFEST_VERSION = 1
 
 # ------------------------------------------------------------ chrome trace
 def chrome_trace(obs: Observation) -> dict:
-    """Assemble the full Chrome trace-event JSON object."""
+    """Assemble the full Chrome trace-event JSON object.
+
+    Raises :class:`~repro.errors.ObsError` when the run was observed
+    without ``Observer(chrome=True)``: such a trace would hold the track
+    metadata and nothing else.
+    """
     run_name = obs.meta.get("name", "machine")
+    if obs.trace_events is None:
+        raise ObsError(
+            f"{run_name}: the observation recorded no Chrome trace events; "
+            f"observe the run with Observer(chrome=True) to write a trace"
+        )
     events: list[dict] = []
     for node in range(obs.num_nodes):
         # One process per node, ordered numerically in Perfetto.
@@ -104,8 +115,9 @@ def chrome_trace(obs: Observation) -> dict:
 
 
 def write_chrome_trace(obs: Observation, path: str) -> None:
+    trace = chrome_trace(obs)  # raises before the file is created
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(obs), fh)
+        json.dump(trace, fh)
         fh.write("\n")
 
 
@@ -142,6 +154,7 @@ def exporting_observer(
             return obs
 
     return _ExportingObserver(
+        chrome=True,
         profile=profile,
         critpath=critpath,
         hostprof=hostprof,

@@ -4,10 +4,11 @@
 an :class:`~repro.obs.events.EventBus`, populates a
 :class:`~repro.obs.metrics.MetricsRegistry` from the simulator's events,
 snapshots it per epoch into an :class:`~repro.obs.timeline.EpochTimeline`,
-and (optionally) records Chrome trace events — one timeline track per node,
-epoch markers at every barrier, spans for misses, directives and lock
-waits.  After the run, :meth:`Observer.finalize` freezes everything into an
-:class:`Observation` and attaches it to the :class:`RunResult`.
+and, when asked to (``chrome=True``), records Chrome trace events — one
+timeline track per node, epoch markers at every barrier, spans for misses,
+directives and lock waits.  After the run, :meth:`Observer.finalize`
+freezes everything into an :class:`Observation` and attaches it to the
+:class:`RunResult`.
 
 Observation never perturbs the simulation: handlers only read event fields,
 so an observed run is cycle-for-cycle identical to an unobserved one (there
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import AccessKind
+from repro.errors import ObsError
 from repro.machine.events import DIRECTIVE_NAMES
 from repro.obs.events import (
     AccessEvent,
@@ -59,6 +61,8 @@ EPOCH_LENGTH_BUCKETS = (100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 #: pid of the synthetic network track (far above any real node id).
 NETWORK_PID = 1 << 20
 
+_HIT = AccessKind.HIT
+
 
 @dataclass
 class Observation:
@@ -66,7 +70,9 @@ class Observation:
 
     metrics: dict  # final cumulative MetricsRegistry.snapshot()
     timeline: list[EpochSample]
-    trace_events: list[dict]  # Chrome trace events (without metadata)
+    #: Chrome trace events (without metadata); None when the run was
+    #: observed without ``Observer(chrome=True)``
+    trace_events: list[dict] | None
     num_nodes: int
     cycles: int
     epochs: int
@@ -90,11 +96,18 @@ class Observer:
     bus, registry:
         Bring your own to share them across runs; fresh ones by default.
     chrome:
-        Record Chrome trace events (costs one dict per span; disable for
-        metrics-only runs).
+        Record Chrome trace events.  Opt-in: each span costs a dict that
+        only a trace writer reads, so the callers that write a trace turn
+        it on — ``repro-obs run``/``critpath``/``hostprof --trace-out``,
+        ``repro-obs bench --trace-dir``, ``cachier-annotate --trace-out``
+        and :func:`~repro.obs.export.exporting_observer` (``figure6
+        --obs-dir``, the sweep pool and the service's figure6 job).
+        Exporting an observation recorded without it raises
+        :class:`~repro.errors.ObsError`.
     include_hits:
-        Also record cache *hits* as trace spans.  Off by default — hits are
-        one cycle each and drown every other track.
+        With ``chrome``, also record cache *hits* as trace spans (an
+        :class:`~repro.errors.ObsError` without it).  Off by default — hits
+        are one cycle each and drown every other track.
     meta:
         Free-form run description copied into the Observation and exported
         manifests (workload name, variant, config, ...).
@@ -122,7 +135,7 @@ class Observer:
         self,
         bus: EventBus | None = None,
         registry: MetricsRegistry | None = None,
-        chrome: bool = True,
+        chrome: bool = False,
         include_hits: bool = False,
         meta: dict | None = None,
         profile: bool = False,
@@ -130,6 +143,11 @@ class Observer:
         hostprof: bool = False,
         sampling: float = 0.0,
     ):
+        if include_hits and not chrome:
+            raise ObsError(
+                "include_hits shapes the Chrome trace only: pass it with "
+                "Observer(chrome=True)"
+            )
         self.bus = bus if bus is not None else EventBus()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.include_hits = include_hits
@@ -147,7 +165,6 @@ class Observer:
 
             self.host_profiler = HostProfiler(sampling_interval_s=sampling)
         self._tokens: list[int] = []
-        self._max_node = -1
         # chrome-mode flow bookkeeping: slow-path events by requesting node,
         # consumed by the enclosing access/directive span (the protocol
         # publishes them synchronously inside the operation)
@@ -160,6 +177,7 @@ class Observer:
         self._c_access = {
             kind: reg.counter(f"accesses.{kind.value}") for kind in AccessKind
         }
+        self._c_hits = self._c_access[_HIT]
         self._h_miss = reg.histogram("miss_latency", MISS_LATENCY_BUCKETS)
         self._c_directives = {
             code: reg.counter(f"directives.{name}")
@@ -201,13 +219,14 @@ class Observer:
     # ------------------------------------------------------------- handlers
     def _on_access(self, ev: AccessEvent) -> None:
         result = ev.result
-        self._c_access[result.kind].inc()
-        if ev.node > self._max_node:
-            self._max_node = ev.node
-        if result.kind is AccessKind.HIT:
-            if not (self._chrome and self.include_hits):
+        kind = result.kind
+        if kind is _HIT:
+            # the hottest path: one counter bump, unless hits become spans
+            self._c_hits.value += 1
+            if not self.include_hits:
                 return
         else:
+            self._c_access[kind].inc()
             self._h_miss.observe(result.cycles)
         if self._chrome:
             args = {
@@ -234,8 +253,6 @@ class Observer:
     def _on_directive(self, ev: DirectiveEvent) -> None:
         self._c_directives[ev.dkind].inc()
         self._c_directive_blocks.inc(ev.blocks)
-        if ev.node > self._max_node:
-            self._max_node = ev.node
         if self._chrome:
             self.trace_events.append({
                 "name": DIRECTIVE_NAMES[ev.dkind],
@@ -269,8 +286,6 @@ class Observer:
             self._pend_msgs.clear()
 
     def _on_lock(self, ev: LockEvent) -> None:
-        if ev.node > self._max_node:
-            self._max_node = ev.node
         if ev.kind is EventKind.LOCK_ACQUIRE:
             self._c_lock_acq.inc()
             self._h_lock_wait.observe(ev.wait)
@@ -436,7 +451,6 @@ class Observer:
     def finalize(self, result) -> Observation:
         """Freeze the observation and attach it to ``result.obs``."""
         self.timeline.finalize(result.cycles)
-        num_nodes = max(len(result.per_node), self._max_node + 1)
         attrib = None
         if self.profiler is not None:
             self.profiler.finalize(result.cycles)
@@ -453,8 +467,8 @@ class Observer:
         obs = Observation(
             metrics=self.registry.snapshot(),
             timeline=list(self.timeline.samples),
-            trace_events=list(self.trace_events),
-            num_nodes=num_nodes,
+            trace_events=list(self.trace_events) if self._chrome else None,
+            num_nodes=len(result.per_node),
             cycles=result.cycles,
             epochs=result.epochs,
             meta=dict(self.meta),

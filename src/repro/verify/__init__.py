@@ -57,22 +57,24 @@ _OUT = "out"
 _IN = "in"
 _HIT = AccessKind.HIT
 
+#: events each node's ring buffer keeps as a VerifyError's evidence chain
+CHAIN_DEPTH = 24
+
 
 # ------------------------------------------------------- lazy event records
 #
 # The evidence-chain ring buffers are written on *every* bus event but read
 # only when a violation is raised — which is never, on a healthy run.  So
-# the hot path stores ``(tag, event, ...)`` tuples (events are immutable
-# records, safe to retain) and the formatting below runs only inside
-# ``_chain``.  This is most of what makes always-on ``--verify``
-# affordable; the rendered text is unchanged.
+# the hot path stores the events themselves (immutable records, safe to
+# retain) and the formatting below runs only inside ``_chain``.  This is
+# most of what makes always-on ``--verify`` affordable.
 
-def _fmt_access(r):
-    _, ev, block = r
+def _fmt_access(ev, shift: int) -> str:
     result = ev.result
     text = (
         f"t={ev.t} node={ev.node} {'WRITE' if ev.write else 'READ'} "
-        f"addr={ev.addr:#x} block={block} pc={ev.pc} -> {result.kind.value}"
+        f"addr={ev.addr:#x} block={ev.addr >> shift} pc={ev.pc} "
+        f"-> {result.kind.value}"
     )
     if result.detail:
         text += f"/{result.detail}"
@@ -81,41 +83,49 @@ def _fmt_access(r):
     return text
 
 
+def _fmt_lock(ev) -> str:
+    return f"t={ev.t} node={ev.node} {ev.kind.name} addr={ev.addr:#x}"
+
+
 _RECORD_FORMATS = {
-    "access": _fmt_access,
-    "trap": lambda r: (
-        f"t={r[1].t} node={r[1].node} TRAP block={r[1].block} "
-        f"copies={r[1].copies} txn={r[1].txn}"
+    EventKind.TRAP: lambda ev: (
+        f"t={ev.t} node={ev.node} TRAP block={ev.block} "
+        f"copies={ev.copies} txn={ev.txn}"
     ),
-    "recall": lambda r: (
-        f"t={r[1].t} node={r[1].node} RECALL block={r[1].block} "
-        f"owner={r[1].owner} txn={r[1].txn}"
+    EventKind.RECALL: lambda ev: (
+        f"t={ev.t} node={ev.node} RECALL block={ev.block} "
+        f"owner={ev.owner} txn={ev.txn}"
     ),
-    "msg": lambda r: (
-        f"t={r[1].t} node={r[1].node} MSG {r[1].msg.value} "
-        f"x{r[1].count} txn={r[1].txn}"
+    EventKind.MESSAGE: lambda ev: (
+        f"t={ev.t} node={ev.node} MSG {ev.msg.value} "
+        f"x{ev.count} txn={ev.txn}"
     ),
-    "done": lambda r: f"t={r[1].t} node={r[1].node} DONE",
-    "lock": lambda r: (
-        f"t={r[1].t} node={r[1].node} {r[1].kind.name} addr={r[1].addr:#x}"
-    ),
-    "directive": lambda r: (
-        f"t={r[1].t} node={r[1].node} DIRECTIVE {r[2]} "
-        f"blocks={list(r[3])} pc={r[1].pc}"
+    EventKind.NODE_DONE: lambda ev: f"t={ev.t} node={ev.node} DONE",
+    EventKind.LOCK_ACQUIRE: _fmt_lock,
+    EventKind.LOCK_CONTEND: _fmt_lock,
+    EventKind.LOCK_RELEASE: _fmt_lock,
+    EventKind.DIRECTIVE: lambda ev: (
+        f"t={ev.t} node={ev.node} DIRECTIVE {_directive_name(ev.dkind)} "
+        f"blocks={list(ev.blockset)} pc={ev.pc}"
     ),
 }
 
 
-def _format_record(rec: tuple) -> str:
-    return _RECORD_FORMATS[rec[0]](rec)
+def _directive_name(dkind: int) -> str:
+    return DIRECTIVE_NAMES.get(dkind, str(dkind))
 
 
-def _record_txn(rec: tuple) -> int:
-    """The slow-path transaction a logged record belongs to (cold path)."""
-    event = rec[1]
-    if rec[0] == "access":
-        return event.result.txn
-    return getattr(event, "txn", -1)
+def _format_record(ev, shift: int) -> str:
+    if ev.kind is EventKind.ACCESS:
+        return _fmt_access(ev, shift)
+    return _RECORD_FORMATS[ev.kind](ev)
+
+
+def _record_txn(ev) -> int:
+    """The slow-path transaction a logged event belongs to (cold path)."""
+    if ev.kind is EventKind.ACCESS:
+        return ev.result.txn
+    return getattr(ev, "txn", -1)
 
 
 @dataclass
@@ -157,7 +167,6 @@ class InvariantChecker:
         protocol,
         *,
         strict_cico: bool = False,
-        chain_depth: int = 24,
         label: str = "",
     ):
         self.protocol = protocol
@@ -173,10 +182,8 @@ class InvariantChecker:
         # recent-event ring buffers: per node, plus one global bounded log
         # of txn-tagged records (filtered by txn id on failure — a flat
         # deque append is far cheaper per event than per-txn dict upkeep)
-        self._recent: list[deque[tuple]] = [
-            deque(maxlen=chain_depth) for _ in range(n)
-        ]
-        self._txn_log: deque[tuple] = deque(maxlen=16 * chain_depth)
+        self._recent: list[deque] = [deque(maxlen=CHAIN_DEPTH) for _ in range(n)]
+        self._txn_log: deque = deque(maxlen=16 * CHAIN_DEPTH)
         self._counts = {
             "accesses": 0, "hits": 0, "traps": 0, "recalls": 0,
             "messages": 0, "barriers": 0, "directives": 0, "node_done": 0,
@@ -247,7 +254,7 @@ class InvariantChecker:
         # bracket (the body is thinner than the bracketing would be).
         self._counts["messages"] += event.count
         if event.txn >= 0:
-            self._txn_log.append(("msg", event))
+            self._txn_log.append(event)
 
     def _dispatch(self, event) -> None:
         kind = event.kind
@@ -257,39 +264,40 @@ class InvariantChecker:
             self._on_barrier(event)
         elif kind is EventKind.TRAP:
             self._counts["traps"] += 1
-            self._remember(event.node, event.txn, ("trap", event))
+            self._remember(event.node, event.txn, event)
         elif kind is EventKind.RECALL:
             self._counts["recalls"] += 1
-            self._remember(event.node, event.txn, ("recall", event))
+            self._remember(event.node, event.txn, event)
         elif kind is EventKind.NODE_DONE:
             self._counts["node_done"] += 1
             self._done.add(event.node)
-            self._remember(event.node, -1, ("done", event))
+            self._remember(event.node, -1, event)
         # lock events only feed the ring buffers
         elif kind in (EventKind.LOCK_ACQUIRE, EventKind.LOCK_CONTEND,
                       EventKind.LOCK_RELEASE):
-            self._remember(event.node, -1, ("lock", event))
+            self._remember(event.node, -1, event)
 
     # ------------------------------------------------------- event history
-    def _remember(self, node: int, txn: int, rec: tuple) -> None:
+    def _remember(self, node: int, txn: int, event) -> None:
         if 0 <= node < len(self._recent):
-            self._recent[node].append(rec)
+            self._recent[node].append(event)
         if txn >= 0:
-            self._txn_log.append(rec)
+            self._txn_log.append(event)
 
     def _chain(self, node: int | None, txn: int = -1) -> tuple[str, ...]:
         """The evidence attached to a VerifyError: the node's recent events
         plus, when the violation sits in a slow-path transaction, every
         recent event that transaction raised (possibly on other nodes).
         Records are rendered here, on failure — never on the hot path."""
+        shift = self._shift
         chain: list[str] = []
         if node is not None and 0 <= node < len(self._recent):
-            chain.extend(_format_record(r) for r in self._recent[node])
+            chain.extend(_format_record(ev, shift) for ev in self._recent[node])
         if txn >= 0:
-            for rec in self._txn_log:
-                if _record_txn(rec) != txn:
+            for ev in self._txn_log:
+                if _record_txn(ev) != txn:
                     continue
-                text = _format_record(rec)
+                text = _format_record(ev, shift)
                 if text not in chain:
                     chain.append(text)
         return tuple(chain)
@@ -308,11 +316,10 @@ class InvariantChecker:
             hit = result.kind is _HIT
             if hit and result.detail != "prefetched":
                 counts["hits"] += 1
-            block = addr >> self._shift
-            rec = ("access", ev, block)
-            self._recent[node].append(rec)
+            self._recent[node].append(ev)
             if result.txn >= 0:
-                self._txn_log.append(rec)
+                self._txn_log.append(ev)
+            block = addr >> self._shift
             # A read HIT needs no recheck: the protocol reported HIT
             # precisely because lookup found the line in the same structure
             # we would re-read.  Writes and read misses carry a real claim
@@ -351,16 +358,14 @@ class InvariantChecker:
     # ---------------------------------------------------------- directives
     def _on_directive(self, ev) -> None:
         self._counts["directives"] += 1
-        name = DIRECTIVE_NAMES.get(ev.dkind, str(ev.dkind))
-        self._remember(ev.node, -1, (
-            "directive", ev, name, tuple(ev.blockset),
-        ))
+        self._remember(ev.node, -1, ev)
         if ev.dkind in (DIR_CHECK_OUT_S, DIR_CHECK_OUT_X):
             mark = _OUT
         elif ev.dkind == DIR_CHECK_IN:
             mark = _IN
         else:
             return  # prefetches are non-binding hints: no post-condition
+        name = _directive_name(ev.dkind)
         marks = self._cico[ev.node]
         for block in ev.blockset:
             marks[block] = mark

@@ -139,9 +139,18 @@ def check_op(
                 f"exclusive owner, found {format_dir_entry(entry)}",
                 node, block,
             )
-        # every cache has the writer's geometry: one set index serves all
-        index = proto.caches[node].set_index(block)
-        for other, cache in enumerate(proto.caches):
+        # Every cache has the writer's geometry: one set index serves all.
+        # The writer holds the block (checked above), so one holder means
+        # no other copy; only a second holder needs naming.
+        caches = proto.caches
+        index = caches[node].set_index(block)
+        holders = 0
+        for cache in caches:
+            if block in cache.sets[index]:
+                holders += 1
+        if holders == 1:
+            return None
+        for other, cache in enumerate(caches):
             if other != node and block in cache.sets[index]:
                 return Finding(
                     "swmr",

@@ -93,6 +93,9 @@ class TestMain:
             "--workload", "matmul_racing", "--trace-out", str(trace_path),
         ])
         assert rc == 0
-        data = json.loads(trace_path.read_text())
+        events = json.loads(trace_path.read_text())["traceEvents"]
         assert any(e.get("ph") == "M" and e["name"] == "thread_name"
-                   for e in data["traceEvents"])
+                   for e in events)
+        assert any(e.get("ph") == "X" for e in events), "no spans"
+        assert any(e.get("ph") == "i" and e["name"].startswith("barrier/")
+                   for e in events), "no barrier marker"

@@ -202,7 +202,7 @@ class TestFlowArrows:
                 yield (EV_BARRIER, 0, 2)
                 yield (EV_REF, 0, BASE, False, 3)  # recall from node 0
 
-        observer = Observer(meta={"name": "flows"})
+        observer = Observer(chrome=True, meta={"name": "flows"})
         config = MachineConfig(
             num_nodes=2, cache_size=4096, block_size=32, assoc=2
         )
@@ -268,7 +268,7 @@ class TestFlowArrows:
             if nid == 0:
                 yield (EV_REF, 0, BASE, False, 1)
 
-        observer = Observer(meta={"name": "plainmiss"})
+        observer = Observer(chrome=True, meta={"name": "plainmiss"})
         config = MachineConfig(
             num_nodes=2, cache_size=4096, block_size=32, assoc=2
         )

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.errors import ObsError
 from repro.machine.config import MachineConfig
 from repro.machine.events import EV_BARRIER, EV_REF
 from repro.machine.machine import Machine
@@ -26,7 +29,7 @@ def config(nodes=2):
 
 
 def observed_run(kernel, nodes=2, **obs_kw):
-    observer = Observer(meta={"name": "test"}, **obs_kw)
+    observer = Observer(chrome=True, meta={"name": "test"}, **obs_kw)
     result = Machine(config(nodes), bus=observer.bus).run(kernel)
     observer.finalize(result)
     return observer.observation, result
@@ -137,6 +140,42 @@ class TestChromeTraceExport:
         names = [e["name"] for e in obs_hits.trace_events
                  if e.get("ph") == "X" and e.get("cat") == "mem"]
         assert names == ["read_miss", "hit"]
+
+    def test_include_hits_needs_chrome(self):
+        with pytest.raises(ObsError, match=r"Observer\(chrome=True\)"):
+            Observer(include_hits=True)
+
+
+class TestChromeRecordingIsOptIn:
+    def test_default_observer_records_no_chrome_events(self):
+        observer = Observer()
+        result = Machine(config(), bus=observer.bus).run(two_epoch_kernel)
+        obs = observer.finalize(result)
+        assert observer.trace_events == []
+        assert obs.trace_events is None
+        assert obs.metric("accesses.read_miss") == 2  # metrics still flow
+
+    def test_export_without_chrome_raises(self, tmp_path):
+        observer = Observer(chrome=False, meta={"name": "quiet"})
+        result = Machine(config(), bus=observer.bus).run(two_epoch_kernel)
+        obs = observer.finalize(result)
+        with pytest.raises(ObsError, match=r"Observer\(chrome=True\)"):
+            chrome_trace(obs)
+        path = tmp_path / "quiet.trace.json"
+        with pytest.raises(ObsError, match="quiet"):
+            write_chrome_trace(obs, str(path))
+        assert not path.exists()
+
+    def test_chrome_run_without_spans_still_writes(self, tmp_path):
+        def kernel(nid):
+            yield (EV_BARRIER, 0, 2)
+
+        obs, result = observed_run(kernel)
+        path = tmp_path / "idle.trace.json"
+        write_chrome_trace(obs, str(path))
+        events = json.loads(path.read_text())["traceEvents"]
+        assert not [e for e in events if e.get("ph") == "X"]
+        assert len([e for e in events if e.get("ph") == "i"]) == result.epochs
 
 
 class TestManifestExport:

@@ -5,7 +5,7 @@ Each test drives a tiny two-node machine with a hand-written kernel whose
 generator body corrupts the protocol state mid-run (a lost invalidation, a
 tampered directory pointer) or violates CICO discipline on purpose, then
 asserts the resulting :class:`VerifyError` carries the correct coordinates
-and a non-empty event chain.
+and a non-empty event chain; one test pins a chain's rendered text.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from repro.machine.events import (
     DIR_CHECK_OUT_X,
     EV_BARRIER,
     EV_DIRECTIVE,
+    EV_LOCK,
     EV_REF,
+    EV_UNLOCK,
 )
 from repro.machine.machine import Machine
 from repro.verify import InvariantChecker
@@ -67,6 +69,65 @@ def test_seeded_swmr_violation_lost_invalidation():
     assert exc.block == 0
     assert "node 1 still holds a copy" in str(exc)
     assert exc.chain  # the evidence trail is attached
+
+
+def test_evidence_chain_text_is_pinned():
+    """The chain renders every record kind a node's ring holds — lock,
+    access (hit, miss, recall, trap), directive, recall, trap — then the
+    failing transaction's messages, in this exact text."""
+    lock = 0x4000
+    config = MachineConfig(
+        num_nodes=3, cache_size=1024, block_size=BLOCK_SIZE, assoc=2
+    )
+    machine = Machine(config)
+    InvariantChecker(machine.protocol, label="chain").subscribe(machine.bus)
+
+    def kernel(nid):
+        if nid == 0:
+            yield (EV_LOCK, 0, lock, 10)
+            yield (EV_REF, 1, 0, True, 11)  # write miss, block 0
+            yield (EV_UNLOCK, 0, lock, 12)
+            yield (EV_DIRECTIVE, 0, DIR_CHECK_OUT_X, [32], 13)
+            yield (EV_REF, 1, 32, True, 14)  # hit, block 1
+            yield (EV_DIRECTIVE, 0, DIR_CHECK_IN, [32], 15)
+            yield (EV_BARRIER, 0, 16)
+            yield (EV_REF, 1, 96, False, 17)  # recalls block 3 from node 1
+            yield (EV_REF, 1, 128, True, 18)  # traps: nodes 1, 2 share block 4
+            yield (EV_BARRIER, 0, 19)
+            # mutation: node 2 grows a copy the directory knows nothing of
+            machine.protocol.caches[2].insert(5, LineState.SHARED)
+            yield (EV_REF, 1, 160, True, 20)  # write miss, block 5
+            yield (EV_BARRIER, 0, 21)
+        else:
+            yield (EV_LOCK, 0, lock, 30 + nid)
+            yield (EV_UNLOCK, 0, lock, 40 + nid)
+            if nid == 1:
+                yield (EV_REF, 1, 96, True, 50)  # own block 3 dirty
+            yield (EV_REF, 1, 128, False, 51)  # share block 4
+            yield (EV_BARRIER, 0, 52)
+            yield (EV_BARRIER, 0, 53)
+            yield (EV_BARRIER, 0, 54)
+
+    with pytest.raises(VerifyError) as excinfo:
+        machine.run(kernel)
+    exc = excinfo.value
+    assert (exc.invariant, exc.node, exc.epoch, exc.block) == ("swmr", 0, 2, 5)
+    assert list(exc.chain) == [
+        "t=0 node=0 LOCK_ACQUIRE addr=0x4000",
+        "t=41 node=0 WRITE addr=0x0 block=0 pc=11 -> write_miss/memory txn=0",
+        "t=271 node=0 LOCK_RELEASE addr=0x4000",
+        "t=271 node=0 DIRECTIVE check_out_X blocks=[1] pc=13",
+        "t=507 node=0 WRITE addr=0x20 block=1 pc=14 -> hit",
+        "t=508 node=0 DIRECTIVE check_in blocks=[1] pc=15",
+        "t=874 node=0 RECALL block=3 owner=1 txn=6",
+        "t=874 node=0 READ addr=0x60 block=3 pc=17 -> read_miss/recall txn=6",
+        "t=1305 node=0 TRAP block=4 copies=2 txn=7",
+        "t=1305 node=0 WRITE addr=0x80 block=4 pc=18 -> write_miss/trap txn=7",
+        "t=1966 node=0 WRITE addr=0xa0 block=5 pc=20 -> write_miss/memory "
+        "txn=8",
+        "t=1966 node=0 MSG get_x x1 txn=8",
+        "t=1966 node=0 MSG data x1 txn=8",
+    ]
 
 
 def test_seeded_swmr_violation_tampered_directory():
