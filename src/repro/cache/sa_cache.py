@@ -133,10 +133,7 @@ class SetAssociativeCache:
         Trace mode flushes every node's shared cache at each barrier
         (Section 3.3) so that each epoch's first touches appear as misses.
         """
-        from repro.obs import hostprof
-
-        with hostprof.perf_region("cache"):
-            flushed = [line for cset in self.sets for line in cset.values()]
-            for cset in self.sets:
-                cset.clear()
-            return flushed
+        flushed = [line for cset in self.sets for line in cset.values()]
+        for cset in self.sets:
+            cset.clear()
+        return flushed

@@ -40,7 +40,6 @@ from repro.coherence.directory import Directory, DirEntry, DirState
 from repro.coherence.messages import MessageKind
 from repro.errors import ProtocolError
 from repro.network.model import Network
-from repro.obs import hostprof
 from repro.obs.events import EventBus, EventKind, RecallEvent, TrapEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -350,20 +349,10 @@ class Dir1SWProtocol:
             stats.hits += 1
             return self._hit
         self._pending[node].pop(block, None)  # stale pending (line was stolen)
-        # slow path from here: host phase accounting charges it to
-        # "protocol" (hits above stay instrumentation-free — they are the
-        # hot path the disabled-mode zero-cost contract protects)
-        prof = hostprof.ACTIVE
-        if prof is not None:
-            prof.push("protocol")
-        try:
-            txn = self._begin_txn(node, now)
-            cycles, detail = self._acquire_shared(node, block)
-            cycles += self._contend(block, now)
-            self._insert(node, block, LineState.SHARED, dirty=False)
-        finally:
-            if prof is not None:
-                prof.pop()
+        txn = self._begin_txn(node, now)
+        cycles, detail = self._acquire_shared(node, block)
+        cycles += self._contend(block, now)
+        self._insert(node, block, LineState.SHARED, dirty=False)
         stats.read_misses += 1
         stats.stall_cycles += cycles
         return AccessResult(cycles, AccessKind.READ_MISS, detail, txn)
@@ -381,18 +370,11 @@ class Dir1SWProtocol:
                 )
             stats.hits += 1
             return self._hit
-        prof = hostprof.ACTIVE
         if line is not None:  # SHARED: write fault (upgrade)
             wait = self._pending_wait(node, block, now) or 0
-            if prof is not None:
-                prof.push("protocol")
-            try:
-                txn = self._begin_txn(node, now)
-                cycles, detail = self._upgrade(node, block)
-                cycles += self._contend(block, now)
-            finally:
-                if prof is not None:
-                    prof.pop()
+            txn = self._begin_txn(node, now)
+            cycles, detail = self._upgrade(node, block)
+            cycles += self._contend(block, now)
             line.state = LineState.EXCLUSIVE
             line.dirty = True
             stats.write_faults += 1
@@ -401,16 +383,10 @@ class Dir1SWProtocol:
                 cycles + wait, AccessKind.WRITE_FAULT, detail, txn
             )
         self._pending[node].pop(block, None)
-        if prof is not None:
-            prof.push("protocol")
-        try:
-            txn = self._begin_txn(node, now)
-            cycles, detail = self._acquire_exclusive(node, block)
-            cycles += self._contend(block, now)
-            self._insert(node, block, LineState.EXCLUSIVE, dirty=True)
-        finally:
-            if prof is not None:
-                prof.pop()
+        txn = self._begin_txn(node, now)
+        cycles, detail = self._acquire_exclusive(node, block)
+        cycles += self._contend(block, now)
+        self._insert(node, block, LineState.EXCLUSIVE, dirty=True)
         stats.write_misses += 1
         stats.stall_cycles += cycles
         return AccessResult(cycles, AccessKind.WRITE_MISS, detail, txn)
@@ -418,10 +394,6 @@ class Dir1SWProtocol:
     # ------------------------------------------------------------ directives
     def check_out(self, node: int, block: int, exclusive: bool, now: int = 0) -> int:
         """Explicit CICO check-out.  Blocking; returns total cycles."""
-        with hostprof.perf_region("protocol"):
-            return self._check_out(node, block, exclusive, now)
-
-    def _check_out(self, node: int, block: int, exclusive: bool, now: int) -> int:
         stats = self.stats[node]
         stats.checkouts += 1
         cycles = self.cost.directive_cycles
@@ -456,18 +428,17 @@ class Dir1SWProtocol:
 
     def check_in(self, node: int, block: int, now: int = 0) -> int:
         """Explicit CICO check-in: flush our copy back to the directory."""
-        with hostprof.perf_region("protocol"):
-            stats = self.stats[node]
-            stats.checkins += 1
-            line = self.caches[node].invalidate(block)
-            self._pending[node].pop(block, None)
-            if line is not None:
-                self._begin_txn(node, now)
-                self.network.send(MessageKind.CHECKIN)
-                if line.dirty:
-                    stats.writebacks += 1
-                self.directory.drop(block, node)
-            return self.cost.directive_cycles
+        stats = self.stats[node]
+        stats.checkins += 1
+        line = self.caches[node].invalidate(block)
+        self._pending[node].pop(block, None)
+        if line is not None:
+            self._begin_txn(node, now)
+            self.network.send(MessageKind.CHECKIN)
+            if line.dirty:
+                stats.writebacks += 1
+            self.directory.drop(block, node)
+        return self.cost.directive_cycles
 
     def prefetch(self, node: int, block: int, exclusive: bool, now: int = 0) -> int:
         """Non-binding prefetch; returns issue cycles only.
@@ -480,10 +451,6 @@ class Dir1SWProtocol:
         software trap NACKs the prefetch; the later demand access pays the
         normal price.  (Letting prefetches steal exclusive copies would
         turn them into free asynchronous invalidations.)"""
-        with hostprof.perf_region("protocol"):
-            return self._prefetch(node, block, exclusive, now)
-
-    def _prefetch(self, node: int, block: int, exclusive: bool, now: int) -> int:
         stats = self.stats[node]
         stats.prefetches += 1
         cycles = self.cost.directive_cycles
@@ -523,10 +490,6 @@ class Dir1SWProtocol:
     def flush_node(self, node: int, now: int = 0) -> int:
         """Invalidate every line (trace-mode barrier flush).  Returns the
         number of lines flushed; costs nothing (instrumentation artefact)."""
-        with hostprof.perf_region("protocol"):
-            return self._flush_node(node, now)
-
-    def _flush_node(self, node: int, now: int) -> int:
         self.network.begin(node=node, t=now, txn=-1)
         lines = self.caches[node].flush_all()
         for line in lines:

@@ -176,35 +176,19 @@ def _exec_figure6(
 
 
 def _exec_bench(workload, out_dir, variants=None, trace_dir=None,
-                timings=False, verify=False):
+                verify=False):
     """One ``repro-obs bench`` unit: bench a whole workload, write its
-    BENCH file, return the headline cycles per variant.
+    BENCH file, return the headline cycles per variant."""
+    from repro.obs.baseline import BENCH_VARIANTS, bench_workload, write_bench
 
-    With ``timings`` the run executes under hostprof phase accounting and
-    the per-variant host measurements ride back in the return value (never
-    in the BENCH file — its bytes must stay host-independent); the parent
-    appends them to the perf-history ledger in submission order."""
-    from repro.obs.baseline import bench_workload, write_bench
-
-    kwargs = {}
-    if variants:
-        kwargs["variants"] = tuple(variants)
-    if trace_dir:
-        kwargs["trace_dir"] = trace_dir
-    if verify:
-        kwargs["verify"] = True
-    host: dict = {}
-    if timings:
-        kwargs["timings"] = host
-    bench = bench_workload(workload, **kwargs)
-    path = write_bench(bench, out_dir)
-    out = {
-        "path": path,
+    bench = bench_workload(
+        workload, variants=tuple(variants) if variants else BENCH_VARIANTS,
+        trace_dir=trace_dir or None, verify=verify,
+    )
+    return {
+        "path": write_bench(bench, out_dir),
         "cycles": {v: rec["cycles"] for v, rec in bench["variants"].items()},
     }
-    if timings:
-        out["timings"] = host
-    return out
 
 
 def _exec_verify(

@@ -70,7 +70,6 @@ def _run_machine(
     checkpoint_name: str,
     flavor: str,
     resume: bool,
-    host_profiler=None,
 ) -> RunResult:
     """Shared tail of trace/timing runs: wire checker + checkpointing,
     execute, finalize the checker, attach reports."""
@@ -103,26 +102,12 @@ def _run_machine(
             ckpt.save(snap)
 
     try:
-        if host_profiler is not None:
-            # The profiler activates for exactly the machine's execution:
-            # everything the instrumented subsystems don't claim is credited
-            # to the "machine" phase (the step loop itself).
-            from repro.obs import hostprof
-
-            with host_profiler.running(), hostprof.perf_region("machine"):
-                result = machine.run(
-                    kernel_factory,
-                    checkpoint=checkpoint_cb,
-                    resume_from=resume_snap,
-                    on_resume=on_resume,
-                )
-        else:
-            result = machine.run(
-                kernel_factory,
-                checkpoint=checkpoint_cb,
-                resume_from=resume_snap,
-                on_resume=on_resume,
-            )
+        result = machine.run(
+            kernel_factory,
+            checkpoint=checkpoint_cb,
+            resume_from=resume_snap,
+            on_resume=on_resume,
+        )
     except VerifyError as exc:
         if checker is not None:
             exc.report = checker.failure_report(exc)
@@ -174,7 +159,6 @@ def trace_program(
         verify_label=f"{program.name}/trace",
         checkpoint_dir=None, checkpoint_name=program.name, flavor="trace",
         resume=False,
-        host_profiler=observer.host_profiler if observer is not None else None,
     )
     if observer is not None:
         observer.finalize(result)
@@ -217,7 +201,6 @@ def run_program(
         checkpoint_dir=checkpoint_dir,
         checkpoint_name=checkpoint_name or program.name, flavor="run",
         resume=resume,
-        host_profiler=observer.host_profiler if observer is not None else None,
     )
     if observer is not None:
         observer.finalize(result)

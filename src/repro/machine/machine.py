@@ -33,7 +33,6 @@ from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import Dir1SWProtocol
 from repro.errors import BarrierError, CheckpointError, MachineError, WatchdogError
 from repro.machine.config import MachineConfig
-from repro.obs import hostprof
 from repro.machine.events import (
     DIR_CHECK_IN,
     DIR_CHECK_OUT_S,
@@ -388,11 +387,6 @@ class Machine:
                 self.protocol.flush_node(nid, now=vt)
         self.epoch += 1
         self.protocol.set_epoch(self.epoch)
-        prof = hostprof.ACTIVE
-        if prof is not None:
-            # split the host-time accounting at the same instant the
-            # simulated epoch turns over, so subsystem × epoch conserves
-            prof.set_epoch(self.epoch)
         for nid in waiters:
             nodes[nid].at_barrier = False
             nodes[nid].clock = resume

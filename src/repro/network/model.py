@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.coherence.messages import MessageKind
-from repro.obs import hostprof
 from repro.obs.events import EventBus, EventKind, MessageEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,24 +60,17 @@ class Network:
         stall) or duplicated (the duplicates are accounted as extra traffic
         of the same kind and context).
         """
-        prof = hostprof.ACTIVE
-        if prof is not None:
-            prof.push("network")
-        try:
-            faults = self.faults
-            if faults is not None:
-                count += faults.on_message(
-                    self.node, kind, count, self.hop_latency
-                )
-            self._traffic[kind] += count
-            bus = self.bus
-            if bus is not None and EventKind.MESSAGE in bus.subscribed:
-                bus.publish(MessageEvent(
-                    kind, count, self.node, self.epoch, self.t, self.txn,
-                ))
-        finally:
-            if prof is not None:
-                prof.pop()
+        faults = self.faults
+        if faults is not None:
+            count += faults.on_message(
+                self.node, kind, count, self.hop_latency
+            )
+        self._traffic[kind] += count
+        bus = self.bus
+        if bus is not None and EventKind.MESSAGE in bus.subscribed:
+            bus.publish(MessageEvent(
+                kind, count, self.node, self.epoch, self.t, self.txn,
+            ))
 
     def hops(self, n: int) -> int:
         """Latency of ``n`` sequential message hops on the critical path."""

@@ -81,21 +81,12 @@ def bench_workload(
     variants=BENCH_VARIANTS,
     policy=None,
     trace_dir: str | None = None,
-    timings: dict | None = None,
     verify: bool = False,
 ) -> dict:
     """Run ``variants`` of workload ``name`` and return the bench dict.
 
     With ``trace_dir`` set, a Chrome trace per variant is written there
     (``<workload>-<variant>.trace.json``) — CI uploads these as artifacts.
-
-    With ``timings`` (a caller-owned dict), each variant's *host*-side
-    measurements are deposited there as
-    ``{variant: {"host_seconds": float, "hostprof": phases-dict}}`` and the
-    run executes under the :mod:`~repro.obs.hostprof` phase accounting.
-    Host times never enter the returned bench dict — BENCH files must stay
-    byte-identical across hosts and runs (the determinism contract of the
-    parallel sweep); they feed the perf-history ledger instead.
 
     With ``verify`` each run executes under the online invariant checker.
     Verification observes the run without perturbing it, so BENCH bytes
@@ -136,7 +127,6 @@ def bench_workload(
             )
         observer = Observer(
             chrome=chrome, profile=True, critpath=True,
-            hostprof=timings is not None,
             meta={"name": f"{name}/{variant}", "workload": name,
                   "variant": variant},
         )
@@ -145,12 +135,6 @@ def bench_workload(
             verify=verify, verify_label=f"{name}/{variant}",
         )
         out["variants"][variant] = _variant_record(result, observer.observation)
-        if timings is not None:
-            report = observer.observation.hostprof or {}
-            timings[variant] = {
-                "host_seconds": report.get("total_ns", 0) / 1e9,
-                "hostprof": report.get("phases"),
-            }
         if chrome:
             stem = f"{name}-{variant}".replace("+", "_")
             write_chrome_trace(
@@ -294,14 +278,8 @@ def straggler_drift(
     return notes
 
 
-def render_diff(
-    rows: list[DiffRow],
-    threshold: float,
-    host_deltas: dict[tuple[str, str], str] | None = None,
-) -> str:
-    """Render the diff table.  ``host_deltas`` (from the perf-history
-    ledger, keyed by (workload, variant)) adds an informational Δhost
-    column — host time never gates, only simulated cycles do."""
+def render_diff(rows: list[DiffRow], threshold: float) -> str:
+    """Render the diff table."""
     from repro.harness.reporting import render_table
 
     table = [
@@ -310,21 +288,13 @@ def render_diff(
             f"{row.cycles_delta:+.1%}",
             row.cur_misses - row.base_misses,
             row.cur_messages - row.base_messages,
+            "REGRESSION" if row.regression else "ok",
         ]
-        + (
-            [host_deltas.get((row.workload, row.variant), "-")]
-            if host_deltas is not None else []
-        )
-        + ["REGRESSION" if row.regression else "ok"]
         for row in rows
     ]
-    headers = ["workload", "variant", "base_cyc", "cur_cyc", "Δcyc",
-               "Δmisses", "Δmsgs"]
-    if host_deltas is not None:
-        headers.append("Δhost")
-    headers.append("status")
     return render_table(
-        headers,
+        ["workload", "variant", "base_cyc", "cur_cyc", "Δcyc", "Δmisses",
+         "Δmsgs", "status"],
         table,
         title=f"bench diff (cycle regression threshold {threshold:.0%})",
     )

@@ -9,8 +9,6 @@ Subcommands::
     repro-obs critpath --workload mp3d --variant plain --top 5
     repro-obs bench --workload mp3d --workload ocean --out-dir bench-out
     repro-obs diff --baseline benchmarks/baselines --against bench-out
-    repro-obs hostprof --workload matmul --variant plain
-    repro-obs history --ledger benchmarks/perf_history.jsonl
 
 ``run`` executes one variant of a built-in workload with the observability
 layer attached and prints the per-epoch activity table; ``summarize``
@@ -26,14 +24,9 @@ by estimated epoch-time savings (``--json`` for the raw report).
 and ``diff`` compares two baseline directories, exiting non-zero when any
 variant's cycles regressed past the threshold — the CI perf gate.
 
-``hostprof`` profiles the *simulator itself*: the subsystem × epoch
-host-time decomposition (exactly conserved) plus optional stack sampling
-(``--folded`` for flamegraph stacks, ``--trace-out`` for a Chrome trace
-whose host-time track rides alongside the simulated-time tracks).
-``history`` maintains the append-only perf ledger
-(``benchmarks/perf_history.jsonl``): trend tables with sparklines, windowed
-host-time regression notes (informational — only cycles gate), an HTML
-trend page, and ``--seed-from`` to bootstrap from committed baselines.
+Every number here is simulated; none is host time.  For where the host's
+time goes, run ``python3 benchmarks/e2e/run.py --workload W --trace 1``
+(per-layer self time) or cProfile.
 """
 
 from __future__ import annotations
@@ -41,6 +34,7 @@ from __future__ import annotations
 import argparse
 
 from repro.cliutil import add_version, run_cli
+from repro.errors import ObsError
 from repro.harness.reporting import render_table
 from repro.obs.export import read_manifest, write_chrome_trace, write_manifest
 from repro.obs.metrics import counter_delta
@@ -196,7 +190,7 @@ def _cmd_profile(args) -> int:
 
     from repro.obs.attrib import folded_stacks, profile_trace, render_profile
 
-    if args.from_trace or args.trace_mode:
+    if args.trace_mode:
         # Offline join over a collected miss trace (no timing run).
         from repro.harness.runner import trace_program
         from repro.workloads.base import get_workload
@@ -273,45 +267,21 @@ def _cmd_bench(args) -> int:
             "bench", name,
             workload=name, out_dir=args.out_dir,
             variants=variants, trace_dir=args.trace_dir,
-            timings=bool(args.history),
         )
         for name in workloads
     ]
-    # Ledger entries are built parent-side as outcomes arrive — SweepPool
-    # delivers them in submission order, so the ledger's order (and the
-    # single append below) is deterministic at any --jobs.
-    ledger_entries: list[dict] = []
 
     def on_result(outcome):
         if outcome.ok:
             value = outcome.value
             print(f"benched {outcome.task.key}: {value['cycles']} "
                   f"-> {value['path']}")
-            if args.history:
-                from repro.obs.history import make_entry
-
-                timings = value.get("timings") or {}
-                for variant in sorted(value["cycles"]):
-                    host = timings.get(variant) or {}
-                    ledger_entries.append(make_entry(
-                        outcome.task.key, variant,
-                        cycles=value["cycles"][variant],
-                        host_seconds=host.get("host_seconds"),
-                        phases=host.get("hostprof"),
-                        source="bench",
-                    ))
 
     outcomes = SweepPool(jobs=args.jobs).run(tasks, on_result)
     errors = [out for out in outcomes if not out.ok]
     if errors:
         print(render_errors(errors))
         raise summarize_failures(errors, total=len(tasks))
-    if args.history and ledger_entries:
-        from repro.obs.history import append_entries
-
-        total = append_entries(args.history, ledger_entries)
-        print(f"appended {len(ledger_entries)} perf-history entries "
-              f"-> {args.history} ({total} total)")
     return 0
 
 
@@ -347,20 +317,13 @@ def _cmd_diff(args) -> int:
             for note in attrib_drift(baseline, current)
             + straggler_drift(baseline, current)
         )
-    host_deltas = None
-    if args.history:
-        # Informational only: the last two timed ledger entries per series.
-        # Host time never gates — cycles are the only hard gate.
-        from repro.obs.history import latest_host_seconds, read_history
-
-        entries = read_history(args.history)
-        host_deltas = {}
-        for row in rows:
-            timed = latest_host_seconds(entries, row.workload, row.variant)
-            if len(timed) >= 2 and timed[-2] > 0:
-                delta = (timed[-1] - timed[-2]) / timed[-2]
-                host_deltas[(row.workload, row.variant)] = f"{delta:+.1%}"
-    print(render_diff(rows, args.threshold, host_deltas=host_deltas))
+    if not rows:
+        # A gate that compared nothing proves nothing.
+        raise ObsError(
+            f"no bench under {args.against} shares a workload and variant "
+            f"with the baselines in {args.baseline}: nothing was compared"
+        )
+    print(render_diff(rows, args.threshold))
     if notes:
         print("attribution / straggler drift (informational):")
         for note in notes:
@@ -371,75 +334,6 @@ def _cmd_diff(args) -> int:
               f"{args.threshold:.0%} cycle threshold")
         return 1
     print("no regressions")
-    return 0
-
-
-def _cmd_hostprof(args) -> int:
-    import json as _json
-
-    from repro.harness.runner import run_program
-    from repro.obs.hostprof import folded_stacks, render_hostprof
-
-    spec, program = _resolve_variant(args.workload, args.variant, args.policy)
-    observer = Observer(
-        chrome=bool(args.trace_out), hostprof=True, sampling=args.sampling,
-        meta={"name": f"{spec.name}/{args.variant}",
-              "workload": args.workload, "variant": args.variant},
-    )
-    run_program(program, spec.config, spec.params_fn, observer=observer)
-    obs = observer.observation
-    assert obs is not None
-    report = obs.hostprof
-    if report is None:
-        raise SystemExit("host profiler recorded nothing")
-    if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
-    elif args.folded:
-        print(folded_stacks(report))
-    else:
-        print(render_hostprof(
-            report, workload=f"{args.workload}/{args.variant}"
-        ))
-    if args.trace_out:
-        # The stored report keeps only the folded aggregate; the per-sample
-        # track is attached transiently for this export.
-        sampler = observer.host_profiler.sampler
-        if sampler is not None:
-            report["_samples"] = list(sampler.samples)
-        try:
-            write_chrome_trace(obs, args.trace_out)
-        finally:
-            report.pop("_samples", None)
-        print(f"chrome trace with host-time track written to "
-              f"{args.trace_out} (open in https://ui.perfetto.dev)")
-    return 0
-
-
-def _cmd_history(args) -> int:
-    from repro.obs import history as hist
-
-    if args.seed_from:
-        added = hist.seed_from_baselines(args.seed_from, args.ledger)
-        print(f"seeded {added} entries from {args.seed_from} "
-              f"-> {args.ledger}")
-    entries = hist.read_history(args.ledger)
-    if not entries:
-        print(f"{args.ledger}: no history yet (seed with --seed-from or "
-              f"append with repro-obs bench --history)")
-    else:
-        print(hist.render_trends(entries))
-        notes = hist.detect_regressions(
-            entries, window=args.window, threshold=args.threshold
-        )
-        if notes:
-            print("trend notes (informational; only cycles gate):")
-            for note in notes:
-                print(f"  {note}")
-    if args.html_out:
-        from repro.util.atomic_write import atomic_write_text
-
-        atomic_write_text(args.html_out, hist.render_perf_html(entries))
-        print(f"trend page written to {args.html_out}")
     return 0
 
 
@@ -501,8 +395,6 @@ def _main(argv=None) -> int:
     prof_p.add_argument("--trace-mode", action="store_true",
                         help="profile the trace-mode run of the unannotated "
                              "program instead of a timing run")
-    prof_p.add_argument("--from-trace", action="store_true",
-                        help="alias for --trace-mode")
     prof_p.set_defaults(func=_cmd_profile)
 
     crit_p = sub.add_parser(
@@ -549,11 +441,6 @@ def _main(argv=None) -> int:
                          help="directory for BENCH_*.json files")
     bench_p.add_argument("--trace-dir", metavar="DIR",
                          help="also write a Chrome trace per variant here")
-    bench_p.add_argument("--history", metavar="LEDGER",
-                         help="run under hostprof phase accounting and "
-                              "append one perf-history entry per workload "
-                              "x variant to this JSONL ledger (host times "
-                              "never enter the BENCH files)")
     bench_p.set_defaults(func=_cmd_bench)
 
     diff_p = sub.add_parser(
@@ -566,61 +453,7 @@ def _main(argv=None) -> int:
     diff_p.add_argument("--threshold", type=float, default=0.10,
                         help="cycle-growth fraction that counts as a "
                              "regression (default 0.10)")
-    diff_p.add_argument("--history", metavar="LEDGER",
-                        help="perf-history ledger: adds an informational "
-                             "Δhost column (last two timed entries per "
-                             "series; never gates)")
     diff_p.set_defaults(func=_cmd_diff)
-
-    host_p = sub.add_parser(
-        "hostprof",
-        help="profile the simulator itself: exactly-conserved subsystem x "
-             "epoch host-time breakdown plus optional stack sampling",
-    )
-    host_p.add_argument("--workload", default="matmul")
-    host_p.add_argument(
-        "--variant", default="plain",
-        choices=["plain", "hand", "hand+pf", "cachier", "cachier+pf"],
-    )
-    host_p.add_argument(
-        "--policy", default="performance",
-        choices=["performance", "programmer"],
-    )
-    host_p.add_argument("--sampling", type=float, default=0.005,
-                        metavar="SECONDS",
-                        help="stack-sampling interval (0 disables the "
-                             "sampler; default 0.005)")
-    host_p.add_argument("--json", action="store_true",
-                        help="emit the structured report as JSON")
-    host_p.add_argument("--folded", action="store_true",
-                        help="emit the sampler's flamegraph folded stacks")
-    host_p.add_argument("--trace-out", metavar="PATH",
-                        help="write a Chrome trace whose host-time track "
-                             "rides alongside the simulated-time tracks")
-    host_p.set_defaults(func=_cmd_hostprof)
-
-    hist_p = sub.add_parser(
-        "history",
-        help="perf-history ledger: trend tables, regression notes "
-             "(informational), HTML trend page",
-    )
-    hist_p.add_argument("--ledger", default="benchmarks/perf_history.jsonl",
-                        help="JSONL ledger path "
-                             "(default benchmarks/perf_history.jsonl)")
-    hist_p.add_argument("--seed-from", metavar="DIR",
-                        help="seed the ledger from committed BENCH_*.json "
-                             "baselines (synthetic epoch-0 entries tagged "
-                             "'seed'; idempotent)")
-    hist_p.add_argument("--html-out", metavar="PATH",
-                        help="write the HTML trend page (same bytes the "
-                             "service serves at /perf.html)")
-    hist_p.add_argument("--window", type=int, default=3,
-                        help="window size for host-time trend detection "
-                             "(default 3)")
-    hist_p.add_argument("--threshold", type=float, default=0.25,
-                        help="host-time growth fraction flagged as a trend "
-                             "note (default 0.25; informational only)")
-    hist_p.set_defaults(func=_cmd_history)
 
     args = parser.parse_args(argv)
     if args.command == "run" and args.include_hits and not args.trace_out:

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, NamedTuple
 
 from repro.coherence.messages import MessageKind
-from repro.obs import hostprof
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (protocol imports us)
     from repro.coherence.protocol import AccessResult
@@ -271,11 +270,5 @@ class EventBus:
     # ----------------------------------------------------------- publishing
     def publish(self, event) -> None:
         """Deliver ``event`` to every subscriber of its kind, in order."""
-        handlers = self._seq.get(event.kind)
-        if handlers:
-            prof = hostprof.ACTIVE
-            if prof is not None:
-                prof.dispatch("obs", handlers, event)
-                return
-            for handler in handlers:
-                handler(event)
+        for handler in self._seq.get(event.kind, ()):
+            handler(event)

@@ -34,6 +34,36 @@ MANIFEST_VERSION = 1
 
 
 # ------------------------------------------------------------ chrome trace
+def process_meta(pid: int, name: str, tid: int = 0) -> list[dict]:
+    """``process_name`` and ``process_sort_index`` metadata for one trace
+    process; Perfetto orders the processes by pid."""
+    return [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": name}},
+        {"name": "process_sort_index", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"sort_index": pid}},
+    ]
+
+
+def thread_meta(pid: int, tid: int, name: str) -> list[dict]:
+    """``thread_name`` and ``thread_sort_index`` metadata for one track,
+    ordered by tid within its process."""
+    return [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": name}},
+        {"name": "thread_sort_index", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"sort_index": tid}},
+    ]
+
+
+def trace_document(events: list[dict], time_unit: str, other: dict) -> dict:
+    """The Chrome trace-event JSON object holding ``events``."""
+    return {
+        "traceEvents": events, "displayTimeUnit": time_unit,
+        "otherData": other,
+    }
+
+
 def chrome_trace(obs: Observation) -> dict:
     """Assemble the full Chrome trace-event JSON object.
 
@@ -50,68 +80,17 @@ def chrome_trace(obs: Observation) -> dict:
     events: list[dict] = []
     for node in range(obs.num_nodes):
         # One process per node, ordered numerically in Perfetto.
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": node,
-            "tid": node,
-            "args": {"name": f"{run_name}: node {node}"},
-        })
-        events.append({
-            "name": "process_sort_index",
-            "ph": "M",
-            "pid": node,
-            "tid": node,
-            "args": {"sort_index": node},
-        })
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": node,
-            "tid": node,
-            "args": {"name": f"node {node}"},
-        })
-        events.append({
-            "name": "thread_sort_index",
-            "ph": "M",
-            "pid": node,
-            "tid": node,
-            "args": {"sort_index": node},
-        })
+        events += process_meta(node, f"{run_name}: node {node}", tid=node)
+        events += thread_meta(node, node, f"node {node}")
     # The synthetic network track sorts after every node process.
-    events.append({
-        "name": "process_name",
-        "ph": "M",
-        "pid": NETWORK_PID,
-        "tid": 0,
-        "args": {"name": f"{run_name}: network"},
-    })
-    events.append({
-        "name": "process_sort_index",
-        "ph": "M",
-        "pid": NETWORK_PID,
-        "tid": 0,
-        "args": {"sort_index": NETWORK_PID},
-    })
+    events += process_meta(NETWORK_PID, f"{run_name}: network")
     events.extend(obs.trace_events)
-    if obs.hostprof is not None:
-        # Host-time tracks ride alongside the simulated-time tracks.  They
-        # use a different clock (µs of host wall-time from run start, vs
-        # simulated cycles) — relative placement within the host process is
-        # what matters, as the module docstring says for cycles.
-        from repro.obs.hostprof import host_trace_events
-
-        events.extend(host_trace_events(obs.hostprof, run_name))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "cycles": obs.cycles,
-            "epochs": obs.epochs,
-            "manifestVersion": MANIFEST_VERSION,
-            **{k: str(v) for k, v in obs.meta.items()},
-        },
-    }
+    return trace_document(events, "ns", {
+        "cycles": obs.cycles,
+        "epochs": obs.epochs,
+        "manifestVersion": MANIFEST_VERSION,
+        **{k: str(v) for k, v in obs.meta.items()},
+    })
 
 
 def write_chrome_trace(obs: Observation, path: str) -> None:
@@ -121,15 +100,7 @@ def write_chrome_trace(obs: Observation, path: str) -> None:
         fh.write("\n")
 
 
-def exporting_observer(
-    workload: str,
-    variant: str,
-    obs_dir: str,
-    profile: bool = True,
-    critpath: bool = True,
-    hostprof: bool = False,
-    sampling: float = 0.0,
-):
+def exporting_observer(workload: str, variant: str, obs_dir: str):
     """A fully-armed :class:`~repro.obs.session.Observer` that writes the
     run's Chrome trace and JSONL manifest into ``obs_dir`` on finalize
     (``<workload>-<variant>.trace.json`` / ``.manifest.jsonl``, ``+`` in
@@ -155,10 +126,8 @@ def exporting_observer(
 
     return _ExportingObserver(
         chrome=True,
-        profile=profile,
-        critpath=critpath,
-        hostprof=hostprof,
-        sampling=sampling,
+        profile=True,
+        critpath=True,
         meta={"name": f"{workload}/{variant}",
               "benchmark": workload, "variant": variant},
     )
@@ -182,8 +151,6 @@ def manifest_records(obs: Observation) -> Iterator[dict]:
         yield {"type": "attrib", "attrib": obs.attrib}
     if obs.critpath is not None:
         yield {"type": "critpath", "critpath": obs.critpath}
-    if obs.hostprof is not None:
-        yield {"type": "hostprof", "hostprof": obs.hostprof}
 
 
 def write_manifest(obs: Observation, path: str) -> None:
@@ -198,11 +165,23 @@ def read_manifest(path: str) -> list[dict]:
 
     Blank lines are skipped and a *trailing* partial line (a run cut off
     mid-write) is ignored; corruption anywhere else raises
-    :class:`~repro.errors.ObsError` naming the offending line.  The same
-    salvage contract backs the perf history ledger
-    (:mod:`repro.obs.history`); both read through
-    :func:`repro.util.jsonl.read_jsonl`.
+    :class:`~repro.errors.ObsError` naming the offending line.
     """
-    from repro.util.jsonl import read_jsonl
-
-    return read_jsonl(path, what="manifest record")
+    records: list[dict] = []
+    bad: tuple[int, str] | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if bad is not None:
+                # A parse failure followed by more content is corruption,
+                # not a truncated tail.
+                raise ObsError(
+                    f"{path}:{bad[0]}: invalid manifest record: {bad[1]}"
+                )
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                bad = (lineno, str(exc))
+    return records

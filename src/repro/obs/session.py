@@ -81,8 +81,6 @@ class Observation:
     attrib: dict | None = None
     #: critical-path report (repro.obs.critpath) when requested
     critpath: dict | None = None
-    #: host-time report (repro.obs.hostprof) when the run was host-profiled
-    hostprof: dict | None = None
 
     def metric(self, name: str, default=0):
         return self.metrics.get(name, default)
@@ -98,7 +96,7 @@ class Observer:
     chrome:
         Record Chrome trace events.  Opt-in: each span costs a dict that
         only a trace writer reads, so the callers that write a trace turn
-        it on — ``repro-obs run``/``critpath``/``hostprof --trace-out``,
+        it on — ``repro-obs run``/``critpath --trace-out``,
         ``repro-obs bench --trace-dir``, ``cachier-annotate --trace-out``
         and :func:`~repro.obs.export.exporting_observer` (``figure6
         --obs-dir``, the sweep pool and the service's figure6 job).
@@ -120,15 +118,6 @@ class Observer:
         Attach a :class:`~repro.obs.critpath.CriticalPathAnalyzer` when the
         run is bound; the per-epoch straggler / what-if report lands on
         ``Observation.critpath``.
-    hostprof:
-        Profile the *simulator itself*: the harness runs the machine inside
-        a :class:`~repro.obs.hostprof.HostProfiler` and the subsystem × epoch
-        host-time breakdown lands on ``Observation.hostprof``.  Host time is
-        never written into BENCH files (it would break byte-identical
-        determinism); it flows to the perf-history ledger instead.
-    sampling:
-        With ``hostprof``, also run the thread-based sampling profiler at
-        this interval in seconds (0 disables sampling).
     """
 
     def __init__(
@@ -140,8 +129,6 @@ class Observer:
         meta: dict | None = None,
         profile: bool = False,
         critpath: bool = False,
-        hostprof: bool = False,
-        sampling: float = 0.0,
     ):
         if include_hits and not chrome:
             raise ObsError(
@@ -159,11 +146,6 @@ class Observer:
         self._critpath = critpath
         self.profiler = None  # AttributionProfiler, set by bind_run
         self.critpath_analyzer = None  # CriticalPathAnalyzer, set by bind_run
-        self.host_profiler = None  # HostProfiler, run by the harness
-        if hostprof:
-            from repro.obs.hostprof import HostProfiler
-
-            self.host_profiler = HostProfiler(sampling_interval_s=sampling)
         self._tokens: list[int] = []
         # chrome-mode flow bookkeeping: slow-path events by requesting node,
         # consumed by the enclosing access/directive span (the protocol
@@ -461,9 +443,6 @@ class Observer:
             critpath = self.critpath_analyzer.report(
                 name=self.meta.get("name", "run")
             )
-        hostprof = None
-        if self.host_profiler is not None and self.host_profiler.total_ns > 0:
-            hostprof = self.host_profiler.report()
         obs = Observation(
             metrics=self.registry.snapshot(),
             timeline=list(self.timeline.samples),
@@ -474,7 +453,6 @@ class Observer:
             meta=dict(self.meta),
             attrib=attrib,
             critpath=critpath,
-            hostprof=hostprof,
         )
         self.observation = obs
         result.obs = obs

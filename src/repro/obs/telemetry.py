@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.obs.export import process_meta, thread_meta, trace_document
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -275,14 +276,7 @@ class ServiceTracer:
             if tid is None:
                 counter = self._tid_next.setdefault(pid, itertools.count())
                 tid = self._tids[key] = next(counter)
-                self._events.append({
-                    "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                    "args": {"name": f"{prefix} {tid}"},
-                })
-                self._events.append({
-                    "name": "thread_sort_index", "ph": "M", "pid": pid,
-                    "tid": tid, "args": {"sort_index": tid},
-                })
+                self._events += thread_meta(pid, tid, f"{prefix} {tid}")
             return tid
 
     # ---------------------------------------------------------------- spans
@@ -374,25 +368,12 @@ class ServiceTracer:
         wall microseconds since daemon start)."""
         with self._lock:
             events = list(self._events)
-        prelude = []
-        for pid, name in ((HTTP_PID, "repro-serve: http"),
-                          (JOBS_PID, "repro-serve: jobs")):
-            prelude.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": name},
-            })
-            prelude.append({
-                "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"sort_index": pid},
-            })
-        return {
-            "traceEvents": prelude + events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "wall microseconds since daemon start",
-                **{k: str(v) for k, v in (meta or {}).items()},
-            },
-        }
+        prelude = (process_meta(HTTP_PID, "repro-serve: http")
+                   + process_meta(JOBS_PID, "repro-serve: jobs"))
+        return trace_document(prelude + events, "ms", {
+            "clock": "wall microseconds since daemon start",
+            **{k: str(v) for k, v in (meta or {}).items()},
+        })
 
 
 @contextmanager

@@ -18,7 +18,6 @@ Routes::
     GET  /api/jobs/<id>/artifacts/<p>   one stored artifact's bytes
     GET  /                              HTML dashboard index
     GET  /ops.html                      live operational telemetry dashboard
-    GET  /perf.html                     perf-history trend page (sparklines)
     GET  /jobs/<id>.html                HTML job detail
 
 Submission responses carry ``disposition``: ``new`` (queued),
@@ -57,7 +56,7 @@ _CONTENT_TYPES = {
 
 #: routes the instrumentation templates exactly as written
 _EXACT_ROUTES = frozenset({
-    "/", "/healthz", "/metrics", "/ops.html", "/perf.html", "/index.html",
+    "/", "/healthz", "/metrics", "/ops.html", "/index.html",
     "/api/status", "/api/jobs", "/api/metrics", "/api/trace",
 })
 
@@ -187,8 +186,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._dashboard_index()
         elif path == "/ops.html":
             self._dashboard_ops()
-        elif path == "/perf.html":
-            self._dashboard_perf()
         elif path.startswith("/jobs/") and path.endswith(".html"):
             self._dashboard_job(int(path[len("/jobs/"):-len(".html")]))
         else:
@@ -232,15 +229,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
         queue = self.server.queue
         self._html(render_ops(queue.status(), queue.telemetry.snapshot()))
-
-    def _dashboard_perf(self) -> None:
-        # render_perf_html is a pure function of the ledger entries, which
-        # is what keeps this route byte-identical to the static export's
-        # perf.html (a property the tests pin).
-        from repro.obs.history import read_history, render_perf_html
-
-        queue = self.server.queue
-        self._html(render_perf_html(read_history(queue.history_path)))
 
     def _dashboard_job(self, job_id: int) -> None:
         from repro.service.reports import render_job

@@ -56,10 +56,6 @@ def _serve(argv: Sequence[str] | None) -> int:
     parser.add_argument("--trace-out", metavar="PATH",
                         help="write the daemon-session Chrome trace here on "
                         "shutdown (default <data-dir>/service.trace.json)")
-    parser.add_argument("--history-path", metavar="PATH",
-                        help="perf-history ledger bench jobs append to and "
-                        "/perf.html renders (default "
-                        "<data-dir>/perf_history.jsonl)")
     add_version(parser, "repro-serve")
     args = parser.parse_args(argv)
 
@@ -80,7 +76,6 @@ def _serve(argv: Sequence[str] | None) -> int:
         verify_default=not args.no_verify,
         max_retries=args.max_retries,
         telemetry=not args.no_telemetry,
-        history_path=args.history_path,
     ))
     server = serve(queue, args.host, args.port)
     host, port = server.server_address[:2]

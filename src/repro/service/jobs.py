@@ -39,8 +39,6 @@ class ExecContext:
     """Daemon-level execution settings every job inherits."""
 
     pool_jobs: int = 1
-    #: perf-history ledger bench jobs append to (None = no ledger)
-    history_path: str | None = None
 
 
 # ------------------------------------------------------------- validation
@@ -290,37 +288,16 @@ def _exec_figure6(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
 
 
 def _exec_bench(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
-    from repro.obs.baseline import bench_workload, write_bench
+    from repro.obs.baseline import BENCH_VARIANTS, bench_workload, write_bench
 
-    kwargs = {}
-    if spec["variants"]:
-        kwargs["variants"] = tuple(spec["variants"])
-    if spec.get("verify"):
-        kwargs["verify"] = True
-    timings: dict = {}
-    if ctx.history_path:
-        # Host timings feed the daemon's perf ledger (served at
-        # /perf.html), never the BENCH artifact — cached re-serves of this
-        # job must stay byte-identical to the original run's artifacts.
-        kwargs["timings"] = timings
     with job_phase("simulate", workload=spec["workload"]):
-        bench = bench_workload(spec["workload"], **kwargs)
+        bench = bench_workload(
+            spec["workload"],
+            variants=tuple(spec["variants"] or BENCH_VARIANTS),
+            verify=bool(spec.get("verify")),
+        )
     with job_phase("persist"):
         path = write_bench(bench, artifact_dir)
-        if ctx.history_path:
-            from repro.obs.history import append_entries, make_entry
-
-            append_entries(ctx.history_path, [
-                make_entry(
-                    spec["workload"], variant,
-                    cycles=bench["variants"][variant]["cycles"],
-                    host_seconds=(timings.get(variant) or {}).get(
-                        "host_seconds"),
-                    phases=(timings.get(variant) or {}).get("hostprof"),
-                    source="service",
-                )
-                for variant in sorted(bench["variants"])
-            ])
     return {
         "workload": spec["workload"],
         "bench_file": os.path.basename(path),

@@ -62,9 +62,6 @@ class ServiceConfig:
     #: service metrics + tracing (``repro-serve --no-telemetry`` turns the
     #: collectors into no-ops; structured logging is independent of this)
     telemetry: bool = True
-    #: perf-history ledger bench jobs append to and /perf.html renders
-    #: (None = <data_dir>/perf_history.jsonl)
-    history_path: str | None = None
 
 
 @dataclass
@@ -109,14 +106,7 @@ class JobQueue:
         self.log = get_logger("repro.service.queue")
         self._stop = threading.Event()
         self._workers: list[threading.Thread] = []
-        from repro.obs.history import DEFAULT_LEDGER
-
-        self.history_path = config.history_path or str(
-            self.data_dir / DEFAULT_LEDGER
-        )
-        self._ctx = ExecContext(
-            pool_jobs=config.pool_jobs, history_path=self.history_path
-        )
+        self._ctx = ExecContext(pool_jobs=config.pool_jobs)
         # submissions whose flow arrow still awaits its job run: job id ->
         # correlation ids (new/coalesced/requeued; cached hits never flow)
         self._flow_lock = threading.Lock()

@@ -162,7 +162,6 @@ def render_index(status: dict, jobs: list[dict],
     ]
     if ops_link:
         body.append('<p><a href="/ops.html">operational telemetry</a> &middot;'
-                    ' <a href="/perf.html">perf history</a> &middot;'
                     ' <a href="/metrics">/metrics</a></p>')
     body.extend([
         '<div class="tiles">' + "".join(tiles) + "</div>",
@@ -569,16 +568,6 @@ def export_site(data_dir: str, out_dir: str,
     with open(index_path, "w", encoding="utf-8") as fh:
         fh.write(render_index(status, payloads))
     written.append("index.html")
-    # The perf trend page: rendered through the same pure function the live
-    # /perf.html route uses, over the same ledger, so the exported bytes
-    # equal the served bytes (missing ledger -> same empty-state page).
-    from repro.obs.history import DEFAULT_LEDGER, read_history, render_perf_html
-
-    entries = read_history(os.path.join(data_dir, DEFAULT_LEDGER))
-    with open(os.path.join(out_dir, "perf.html"), "w",
-              encoding="utf-8") as fh:
-        fh.write(render_perf_html(entries))
-    written.append("perf.html")
     for payload in payloads:
         key = payload["key"]
 

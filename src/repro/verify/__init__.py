@@ -47,7 +47,6 @@ from repro.machine.events import (
     DIR_CHECK_OUT_X,
     DIRECTIVE_NAMES,
 )
-from repro.obs import hostprof
 from repro.obs.events import EventBus, EventKind
 from repro.verify.invariants import Finding, check_op, check_state
 
@@ -235,28 +234,14 @@ class InvariantChecker:
         counts["node_done"] = len(self._done)
         counts["hits"] = proto.totals().hits
 
-    def _handle(self, event) -> None:
-        # Credit checker time to the "verify" host phase (it otherwise hides
-        # inside "obs", the bus-dispatch region the publish wraps us in).
-        prof = hostprof.ACTIVE
-        if prof is None:
-            self._dispatch(event)
-            return
-        prof.push("verify")
-        try:
-            self._dispatch(event)
-        finally:
-            prof.pop()
-
     def _on_message(self, event) -> None:
         # One call per protocol message — second-hottest path.  Count for
-        # conservation, log for txn evidence; deliberately no hostprof
-        # bracket (the body is thinner than the bracketing would be).
+        # conservation, log for txn evidence.
         self._counts["messages"] += event.count
         if event.txn >= 0:
             self._txn_log.append(event)
 
-    def _dispatch(self, event) -> None:
+    def _handle(self, event) -> None:
         kind = event.kind
         if kind is EventKind.DIRECTIVE:
             self._on_directive(event)
@@ -306,47 +291,40 @@ class InvariantChecker:
     def _on_access(self, ev) -> None:
         # The hottest handler (one per shared reference), subscribed
         # directly so the bus's dispatch is the only indirection.
-        prof = hostprof.ACTIVE
-        if prof is not None:
-            prof.push("verify")
-        try:
-            node, epoch, addr, pc, write, _t, result = ev
-            counts = self._counts
-            counts["accesses"] += 1
-            hit = result.kind is _HIT
-            if hit and result.detail != "prefetched":
-                counts["hits"] += 1
-            self._recent[node].append(ev)
-            if result.txn >= 0:
-                self._txn_log.append(ev)
-            block = addr >> self._shift
-            # A read HIT needs no recheck: the protocol reported HIT
-            # precisely because lookup found the line in the same structure
-            # we would re-read.  Writes and read misses carry a real claim
-            # (the writer holds the only copy, the slow path installed the
-            # line), so those are verified.
-            if write or not hit:
-                if write:
-                    self._checks["swmr"] += 1
-                finding = check_op(
-                    self.protocol, "write" if write else "read", node, block,
-                )
-                if finding is not None:
-                    self._fail(finding, epoch, result.txn)
-            # Performance-CICO discipline: touching a block this node
-            # explicitly checked in earlier means a premature check-in.
-            marks = self._cico[node]
-            if marks and marks.get(block) == _IN:
-                self._checks["cico-discipline"] += 1
-                self._cico_finding(
-                    f"node {node} accessed block {block} (pc {pc}) "
-                    f"after checking it in — premature check-in",
-                    node=node, epoch=epoch, block=block, txn=result.txn,
-                )
-                del marks[block]  # the access implicitly re-checked it out
-        finally:
-            if prof is not None:
-                prof.pop()
+        node, epoch, addr, pc, write, _t, result = ev
+        counts = self._counts
+        counts["accesses"] += 1
+        hit = result.kind is _HIT
+        if hit and result.detail != "prefetched":
+            counts["hits"] += 1
+        self._recent[node].append(ev)
+        if result.txn >= 0:
+            self._txn_log.append(ev)
+        block = addr >> self._shift
+        # A read HIT needs no recheck: the protocol reported HIT
+        # precisely because lookup found the line in the same structure
+        # we would re-read.  Writes and read misses carry a real claim
+        # (the writer holds the only copy, the slow path installed the
+        # line), so those are verified.
+        if write or not hit:
+            if write:
+                self._checks["swmr"] += 1
+            finding = check_op(
+                self.protocol, "write" if write else "read", node, block,
+            )
+            if finding is not None:
+                self._fail(finding, epoch, result.txn)
+        # Performance-CICO discipline: touching a block this node
+        # explicitly checked in earlier means a premature check-in.
+        marks = self._cico[node]
+        if marks and marks.get(block) == _IN:
+            self._checks["cico-discipline"] += 1
+            self._cico_finding(
+                f"node {node} accessed block {block} (pc {pc}) "
+                f"after checking it in — premature check-in",
+                node=node, epoch=epoch, block=block, txn=result.txn,
+            )
+            del marks[block]  # the access implicitly re-checked it out
 
     def _fail(self, finding: Finding, epoch: int, txn: int = -1) -> None:
         raise VerifyError(

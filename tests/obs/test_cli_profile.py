@@ -13,6 +13,7 @@ from repro.obs.cli import main
 from repro.obs.export import read_manifest
 
 GOLDEN = Path(__file__).parent / "golden" / "profile_mp3d_plain.txt"
+BASELINES = Path(__file__).parents[2] / "benchmarks" / "baselines"
 
 
 class TestProfileCommand:
@@ -68,6 +69,19 @@ class TestBenchAndDiffCommands:
     def test_diff_requires_baseline_files(self, tmp_path):
         with pytest.raises(SystemExit, match="no BENCH"):
             main(["diff", "--baseline", str(tmp_path)])
+
+    def test_diff_that_compares_nothing_fails(self, tmp_path, capsys):
+        # Baselines present, but no current bench matches any of them: the
+        # gate must not report "no regressions" over zero comparisons.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["diff", "--baseline", str(BASELINES),
+                     "--against", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert "no regressions" not in captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro-obs: error: ")
+        assert str(BASELINES) in line and str(empty) in line
 
 
 class TestSummarizeRobustness:

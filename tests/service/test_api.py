@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import html
 import json
+import re
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -61,6 +64,37 @@ def test_full_round_trip(live):
 
     # healthz is plain text
     assert urllib.request.urlopen(base + "/healthz").read() == b"ok\n"
+
+
+def test_dashboard_links_resolve(live):
+    """Every same-origin link on the live dashboards answers 200, and no
+    page links to a route the daemon does not serve."""
+    client, _queue, base = live
+    payload = client.submit("annotate", {"workload": "matmul_racing",
+                                         "verify": False})
+    assert client.wait(payload["id"], timeout=120)["state"] == "done"
+
+    origin = urllib.parse.urlsplit(base).netloc
+    checked = set()
+    for page in ("/", "/ops.html", f"/jobs/{payload['id']}.html"):
+        url = base + page
+        text = urllib.request.urlopen(url).read().decode()
+        for href in re.findall(r'href="([^"]*)"', text):
+            target, _ = urllib.parse.urldefrag(
+                urllib.parse.urljoin(url, html.unescape(href))
+            )
+            if urllib.parse.urlsplit(target).netloc != origin:
+                continue
+            if target not in checked:
+                checked.add(target)
+                with urllib.request.urlopen(target) as resp:
+                    assert resp.status == 200, target
+    assert base + "/ops.html" in checked
+    assert any("/artifacts/" in url for url in checked)
+
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(base + "/perf.html")
+    assert err.value.code == 404
 
 
 def test_error_statuses(live):
