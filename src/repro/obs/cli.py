@@ -112,7 +112,7 @@ def _resolve_variant(workload: str, variant: str, policy: str):
         include_prefetch=variant.endswith("+pf"),
     )
     if variant not in variants.programs:
-        raise SystemExit(
+        raise ObsError(
             f"workload {workload!r} has no {variant!r} variant "
             f"(available: {sorted(variants.programs)})"
         )
@@ -166,7 +166,7 @@ def _cmd_summarize(args) -> int:
         return 1
     header = next((r for r in records if r.get("type") == "run"), None)
     if header is None:
-        raise SystemExit(f"{args.manifest}: no 'run' record — not a manifest?")
+        raise ObsError(f"{args.manifest}: no 'run' record — not a manifest?")
     name = header.get("meta", {}).get("name", args.manifest)
     print(
         f"{name}: {header.get('num_nodes')} nodes, "
@@ -299,7 +299,7 @@ def _cmd_diff(args) -> int:
 
     base_files = sorted(glob.glob(os.path.join(args.baseline, "BENCH_*.json")))
     if not base_files:
-        raise SystemExit(f"no BENCH_*.json files under {args.baseline}")
+        raise ObsError(f"no BENCH_*.json files under {args.baseline}")
     rows = []
     notes = []
     for base_path in base_files:

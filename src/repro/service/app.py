@@ -25,6 +25,12 @@ Submission responses carry ``disposition``: ``new`` (queued),
 cycles), ``coalesced`` (an identical job is already in flight) or
 ``requeued`` (a previously failed key, retried).
 
+Connections are HTTP/1.1 keep-alive with Nagle's algorithm off.  Each
+request's body is read in full before routing, so the next request on
+the connection starts in step; a request whose body length is unknown (a
+malformed ``Content-Length``, or a POST without one, such as a chunked
+one) is answered 400 and its connection closed.
+
 Every request is instrumented: counted and latency-bucketed into the
 queue's :class:`~repro.obs.telemetry.ServiceTelemetry` under a
 low-cardinality *route template* (``/api/jobs/{id}``, never the raw
@@ -76,8 +82,17 @@ def route_template(path: str) -> str:
     return "(other)"
 
 
+class _BadRequest(ServiceError):
+    """The request's framing is broken: answered 400, connection closed."""
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     server: "ServiceServer"
+    protocol_version = "HTTP/1.1"  # keep-alive
+    # A response goes out as two writes, headers then body; with Nagle on,
+    # the body of a kept-alive response can wait ~40 ms for the client's
+    # delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -90,6 +105,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -124,7 +141,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         ts_us = telemetry.tracer.now_us()
         start = time.monotonic()
         try:
+            self._body = self._read_body()
             route_fn()
+        except _BadRequest as exc:
+            self.close_connection = True
+            self._error(400, str(exc))
         except ServiceError as exc:
             self._error(not_found, str(exc))
         except ReproError as exc:
@@ -153,6 +174,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
             status=status, dur_ms=round(dur_s * 1e3, 3),
             **({"correlation": self._flow_cid} if self._flow_cid else {}),
         )
+
+    def _read_body(self) -> bytes:
+        """The request body, read in full so the next request on a
+        kept-alive connection starts where this one ends."""
+        length = self.headers.get("Content-Length")
+        if length is None:
+            if self.command == "POST" or "Transfer-Encoding" in self.headers:
+                raise _BadRequest("Content-Length header required")
+            return b""
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"malformed Content-Length header: {length!r}")
+        return self.rfile.read(int(length))
 
     def _route_get(self) -> None:
         queue = self.server.queue
@@ -195,10 +228,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/api/jobs":
             self._error(404, f"no POST route for {self.path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            body = json.loads(raw.decode("utf-8") or "{}")
+            body = json.loads(self._body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"request body is not JSON: {exc}") from None
         if not isinstance(body, dict) or "kind" not in body:

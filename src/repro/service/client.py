@@ -1,16 +1,20 @@
-"""A small urllib client for the repro-serve JSON API.
+"""A small ``http.client`` client for the repro-serve JSON API.
 
-Used by the ``repro-client`` CLI and the tests; any HTTP or transport
-failure surfaces as :class:`~repro.errors.ServiceError` so callers get
-the repo's usual one-line exit-2 behaviour through ``run_cli``.
+Used by the ``repro-client`` CLI, the tests and the benchmark; any HTTP or
+transport failure surfaces as :class:`~repro.errors.ServiceError` so
+callers get the repo's usual one-line exit-2 behaviour through ``run_cli``.
+
+Each thread that uses a client keeps one kept-alive connection to the
+daemon, so a request costs no TCP handshake after the first.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 
 from repro.errors import ServiceError
 
@@ -24,29 +28,74 @@ class ServiceClient:
     def __init__(self, url: str, timeout: float = 30.0):
         self.url = url.rstrip("/")
         self.timeout = timeout
+        self._base = urllib.parse.urlsplit(self.url)
+        self._local = threading.local()  # .conn: this thread's connection
 
     # ------------------------------------------------------------ plumbing
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._base.scheme != "http":
+                raise ServiceError(f"cannot reach {self.url}: not an "
+                                   "http:// URL")
+            conn = http.client.HTTPConnection(self._base.netloc,
+                                              timeout=self.timeout)
+            self._local.conn = conn
+        return conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens a
+        new one).  Other threads' connections close when they exit."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
+    def _exchange(self, method: str, target: str, data: bytes | None,
+                  headers: dict) -> tuple[int, bytes]:
+        """One request on this thread's connection; ``(status, body)``.
+
+        A kept-alive connection may have been closed by the daemon while
+        it sat idle.  The request then fails before any byte of a response
+        arrives, and only then is it sent once more, on a fresh connection:
+        a submission is idempotent by content hash, so a resend is safe.
+        """
+        conn = self._connection()
+        while True:  # at most twice: the resend runs on a fresh connection
+            reused = conn.sock is not None
+            sent = False
+            try:
+                conn.request(method, target, body=data, headers=headers)
+                sent = True
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            except ConnectionError as exc:
+                conn.close()
+                unanswered = (not sent
+                              or isinstance(exc, http.client.RemoteDisconnected))
+                if not (reused and unanswered):
+                    raise
+
     def _request(self, path: str, body: dict | None = None) -> bytes:
-        request = urllib.request.Request(self.url + path)
-        if body is not None:
-            request.data = json.dumps(body).encode("utf-8")
-            request.add_header("Content-Type", "application/json")
+        target = self._base.path + path
+        if body is None:
+            method, data, headers = "GET", None, {}
+        else:
+            method = "POST"
+            data = json.dumps(body).encode("utf-8")
+            headers = {"Content-Type": "application/json"}
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
+            status, raw = self._exchange(method, target, data, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            self.close()
+            raise ServiceError(f"cannot reach {self.url}: {exc}") from None
+        if status >= 400:
+            detail = raw.decode("utf-8", "replace")
             try:
                 detail = json.loads(detail)["error"]
             except (json.JSONDecodeError, KeyError, TypeError):
                 pass
-            raise ServiceError(
-                f"{path}: HTTP {exc.code}: {detail}"
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.url}: {exc.reason}"
-            ) from None
+            raise ServiceError(f"{path}: HTTP {status}: {detail}")
+        return raw
 
     def _json(self, path: str, body: dict | None = None) -> dict:
         raw = self._request(path, body)

@@ -24,6 +24,7 @@ jobs: each content hash pays the invariant checker exactly once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -39,8 +40,15 @@ def canonical_json(payload) -> str:
     )
 
 
+@functools.cache
 def workload_fingerprint(name: str) -> dict:
-    """Fingerprint a built-in workload: canonical IR + config + scale."""
+    """Fingerprint a built-in workload: canonical IR + config + scale.
+
+    Built once per process per name: the built-in workloads cannot change
+    while a process runs, and rebuilding and unparsing one per submission
+    would be most of a cache hit's cost.  Every caller shares the returned
+    dict, so treat it as read-only; ``__wrapped__`` is the unmemoized
+    function."""
     from repro.lang.unparse import unparse_program
     from repro.workloads.base import get_workload
 

@@ -3,7 +3,8 @@
 :class:`JobQueue` owns the data directory — the sqlite ledger
 (:mod:`repro.service.db`) plus one artifact directory per content hash
 (``artifacts/<key>/``) — and drains queued jobs with worker threads.
-Each worker claims the oldest queued job, executes it through
+A submission that queues a job wakes an idle worker, which claims the
+oldest queued job, executes it through
 :func:`repro.service.jobs.execute_job` (which fans sweeps out through the
 process pool), and records the outcome.
 
@@ -58,7 +59,6 @@ class ServiceConfig:
     verify_default: bool = True
     #: how many interrupted attempts before a job is abandoned
     max_retries: int = 3
-    poll_interval: float = 0.05
     #: service metrics + tracing (``repro-serve --no-telemetry`` turns the
     #: collectors into no-ops; structured logging is independent of this)
     telemetry: bool = True
@@ -104,7 +104,11 @@ class JobQueue:
         self.started_at = time.time()
         self.telemetry = ServiceTelemetry(enabled=config.telemetry)
         self.log = get_logger("repro.service.queue")
-        self._stop = threading.Event()
+        # Idle workers, stop() and drain() all wait on this one condition:
+        # a submission that queues work wakes it, and so does every
+        # finished job and stop().  No thread polls the ledger.
+        self._wake = threading.Condition()
+        self._stopping = False
         self._workers: list[threading.Thread] = []
         self._ctx = ExecContext(pool_jobs=config.pool_jobs)
         # submissions whose flow arrow still awaits its job run: job id ->
@@ -137,20 +141,30 @@ class JobQueue:
             self._workers.append(worker)
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
+        """Stop the workers; one running a job finishes it first."""
+        with self._wake:
+            self._stopping = True
+            self._wake.notify_all()
         for worker in self._workers:
             worker.join(timeout)
         self._workers.clear()
 
     def drain(self, timeout: float = 300.0) -> None:
-        """Block until no job is queued or running (tests, --drain)."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            counts = self.db.counts()
-            if counts["queued"] == 0 and counts["running"] == 0:
-                return
-            time.sleep(self.config.poll_interval)
-        raise ServiceError(f"queue did not drain within {timeout}s")
+        """Block until no job is queued or running, or raise
+        :class:`ServiceError` after ``timeout`` seconds.  In-process
+        callers (tests, benchmarks) use it; the daemon never does."""
+        deadline = time.monotonic() + timeout
+        with self._wake:
+            while True:
+                counts = self.db.counts()
+                if counts["queued"] == 0 and counts["running"] == 0:
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ServiceError(
+                        f"queue did not drain within {timeout}s"
+                    )
+                self._wake.wait(remaining)
 
     # ---------------------------------------------------------------- api
     def submit(self, kind: str, params: dict | None) -> dict:
@@ -182,6 +196,9 @@ class JobQueue:
         self.telemetry.submission(disposition)
         if disposition == "requeued":
             self.telemetry.retry()
+        if disposition in ("new", "requeued"):
+            with self._wake:
+                self._wake.notify_all()
         self.telemetry.set_queue_gauges(self.db.counts())
         self.log.info(
             "job submitted", correlation=correlation, job=row["id"],
@@ -238,12 +255,21 @@ class JobQueue:
 
     # ------------------------------------------------------------- worker
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            row = self.db.claim_next()
-            if row is None:
-                self._stop.wait(self.config.poll_interval)
-                continue
+        while True:
+            with self._wake:
+                # Claim under the condition's lock: a submission committed
+                # after an empty claim then finds this worker waiting, so
+                # its wake-up cannot be lost.
+                row = None
+                while row is None:
+                    if self._stopping:
+                        return
+                    row = self.db.claim_next()
+                    if row is None:
+                        self._wake.wait()
             self._execute_row(row)
+            with self._wake:
+                self._wake.notify_all()  # drain() re-reads the counts
 
     def _execute_row(self, row: dict) -> None:
         spec = json.loads(row["spec"])

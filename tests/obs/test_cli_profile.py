@@ -66,9 +66,12 @@ class TestBenchAndDiffCommands:
                      "--against", str(out_b)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_diff_requires_baseline_files(self, tmp_path):
-        with pytest.raises(SystemExit, match="no BENCH"):
-            main(["diff", "--baseline", str(tmp_path)])
+    def test_diff_requires_baseline_files(self, tmp_path, capsys):
+        # a tool error, not exit 1, which means "regression found"
+        assert main(["diff", "--baseline", str(tmp_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"repro-obs: error: no BENCH_*.json files under "
+                        f"{tmp_path}")
 
     def test_diff_that_compares_nothing_fails(self, tmp_path, capsys):
         # Baselines present, but no current bench matches any of them: the
@@ -84,7 +87,24 @@ class TestBenchAndDiffCommands:
         assert str(BASELINES) in line and str(empty) in line
 
 
+class TestToolErrors:
+    def test_unknown_variant_is_a_tool_error(self, capsys):
+        assert main(["run", "--workload", "mp3d", "--variant", "hand+pf"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "repro-obs: error: workload 'mp3d' has no 'hand+pf' variant")
+
+
 class TestSummarizeRobustness:
+    def test_manifest_without_run_record_is_a_tool_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"type": "epoch", "epoch": 0}\n')
+        assert main(["summarize", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"repro-obs: error: {path}: no 'run' record — "
+                        f"not a manifest?")
+
     def test_empty_manifest_reports_no_records(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -22,9 +22,11 @@ def live(tmp_path):
     queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
     server, _thread = serve_background(queue)  # port 0 -> free port
     host, port = server.server_address[:2]
+    client = ServiceClient(f"http://{host}:{port}")
     try:
-        yield ServiceClient(f"http://{host}:{port}"), queue, f"http://{host}:{port}"
+        yield client, queue, f"http://{host}:{port}"
     finally:
+        client.close()
         server.shutdown()
         queue.stop()
 
@@ -128,3 +130,5 @@ def test_unreachable_daemon_is_a_service_error(tmp_path):
     assert client.healthy() is False
     with pytest.raises(ServiceError, match="cannot reach"):
         client.status()
+    with pytest.raises(ServiceError, match="not an http:// URL"):
+        ServiceClient("ftp://127.0.0.1:9").status()

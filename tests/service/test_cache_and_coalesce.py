@@ -66,7 +66,7 @@ def test_second_submission_is_a_zero_work_cache_hit(tmp_path, monkeypatch):
 
 
 def test_concurrent_duplicates_coalesce_to_one_run(tmp_path, monkeypatch):
-    queue = JobQueue(ServiceConfig(data_dir=str(tmp_path), poll_interval=0.01))
+    queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
 
     release = threading.Event()
     executions = []

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
+from repro.service import hashing
 from repro.service.hashing import job_key, source_fingerprint
 from repro.service.jobs import normalize_spec
+from repro.workloads.base import registry
 
 
 def key_for(kind, params=None, **kw):
@@ -75,3 +77,16 @@ def test_figure6_benchmark_order_matters_but_content_drives_the_hash():
 def test_bad_specs_are_rejected_before_hashing(kind, params, match):
     with pytest.raises(ServiceError, match=match):
         normalize_spec(kind, params)
+
+
+def test_memoized_fingerprints_give_the_unmemoized_keys(monkeypatch):
+    names = sorted(registry())
+    specs = [normalize_spec(kind, {"workload": name})
+             for name in names for kind in ("annotate", "bench", "verify")]
+    specs.append(normalize_spec("figure6", {"benchmarks": names}))
+    memoized = [job_key(spec) for spec in specs]
+    assert hashing.workload_fingerprint("mp3d") is \
+        hashing.workload_fingerprint("mp3d")  # built once, then shared
+    monkeypatch.setattr(hashing, "workload_fingerprint",
+                        hashing.workload_fingerprint.__wrapped__)
+    assert [job_key(spec) for spec in specs] == memoized

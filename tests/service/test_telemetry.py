@@ -38,10 +38,11 @@ def live(tmp_path):
     queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
     server, _thread = serve_background(queue)
     host, port = server.server_address[:2]
+    client = ServiceClient(f"http://{host}:{port}")
     try:
-        yield ServiceClient(f"http://{host}:{port}"), queue, \
-            f"http://{host}:{port}"
+        yield client, queue, f"http://{host}:{port}"
     finally:
+        client.close()
         server.shutdown()
         queue.stop()
 
@@ -299,6 +300,7 @@ def test_disabled_telemetry_serves_but_collects_nothing(tmp_path):
         html = urllib.request.urlopen(base + "/ops.html").read().decode()
         assert "Telemetry is disabled" in html
     finally:
+        client.close()
         server.shutdown()
         queue.stop()
 
