@@ -326,28 +326,31 @@ class Dir1SWProtocol:
 
     # ------------------------------------------------------------- accesses
     def _pending_wait(self, node: int, block: int, now: int) -> int | None:
-        """If a prefetch is in flight for ``block``, cycles still to wait."""
-        pending = self._pending[node]
-        if not pending:
-            return None
-        pend = pending.pop(block, None)
+        """If a prefetch is in flight for ``block``, cycles still to wait.
+
+        Callers test ``self._pending[node]`` first, so a node with nothing
+        in flight (every node, in a run without prefetches) pays no call.
+        """
+        pend = self._pending[node].pop(block, None)
         if pend is None:
             return None
         self.stats[node].prefetch_useful += 1
         return max(0, pend.arrival - now)
 
     def read(self, node: int, block: int, now: int = 0) -> AccessResult:
-        stats = self.stats[node]
         line = self.caches[node].touch(block)
         if line is not None:
-            wait = self._pending_wait(node, block, now)
-            if wait is not None:
-                stats.stall_cycles += wait
-                return AccessResult(
-                    self.cost.hit_cycles + wait, AccessKind.HIT, "prefetched"
-                )
-            stats.hits += 1
+            if self._pending[node]:
+                wait = self._pending_wait(node, block, now)
+                if wait is not None:
+                    self.stats[node].stall_cycles += wait
+                    return AccessResult(
+                        self.cost.hit_cycles + wait, AccessKind.HIT,
+                        "prefetched",
+                    )
+            self.stats[node].hits += 1
             return self._hit
+        stats = self.stats[node]
         self._pending[node].pop(block, None)  # stale pending (line was stolen)
         txn = self._begin_txn(node, now)
         cycles, detail = self._acquire_shared(node, block)
@@ -358,20 +361,24 @@ class Dir1SWProtocol:
         return AccessResult(cycles, AccessKind.READ_MISS, detail, txn)
 
     def write(self, node: int, block: int, now: int = 0) -> AccessResult:
-        stats = self.stats[node]
         line = self.caches[node].touch(block)
         if line is not None and line.state is LineState.EXCLUSIVE:
-            wait = self._pending_wait(node, block, now)
             line.dirty = True
-            if wait is not None:
-                stats.stall_cycles += wait
-                return AccessResult(
-                    self.cost.hit_cycles + wait, AccessKind.HIT, "prefetched"
-                )
-            stats.hits += 1
+            if self._pending[node]:
+                wait = self._pending_wait(node, block, now)
+                if wait is not None:
+                    self.stats[node].stall_cycles += wait
+                    return AccessResult(
+                        self.cost.hit_cycles + wait, AccessKind.HIT,
+                        "prefetched",
+                    )
+            self.stats[node].hits += 1
             return self._hit
+        stats = self.stats[node]
         if line is not None:  # SHARED: write fault (upgrade)
-            wait = self._pending_wait(node, block, now) or 0
+            wait = 0
+            if self._pending[node]:
+                wait = self._pending_wait(node, block, now) or 0
             txn = self._begin_txn(node, now)
             cycles, detail = self._upgrade(node, block)
             cycles += self._contend(block, now)

@@ -6,6 +6,16 @@ advances by one event.  This gives a deterministic but realistic interleaving
 — cross-node races resolve in virtual-time order, the way they would on the
 execution-driven WWT.
 
+The ready heap holds one int per ready node, ``clock << bits | node`` with
+``bits = (num_nodes - 1).bit_length()``: it pops the smallest clock first
+and, on a tie, the lower node id — the order ``(clock, node)`` tuples give,
+without building a tuple per step.  A node's compute cycles are charged
+before its action, and the action is deferred behind the heap only when the
+new clock is strictly past the smallest ready clock (``heap[0] < clock <<
+bits``): an equal clock acts at once, whatever the node ids.  A node is in
+the heap at most once, and only while it is ready; a barrier release, a
+lock hand-off and a checkpoint resume push it back with the same encoding.
+
 Responsibilities:
 
 * charge compute cycles and memory-system latencies to node clocks,
@@ -24,13 +34,14 @@ Responsibilities:
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.cache.stats import CacheStats
 from repro.coherence.messages import MessageKind
-from repro.coherence.protocol import Dir1SWProtocol
+from repro.coherence.protocol import AccessKind, Dir1SWProtocol
 from repro.errors import BarrierError, CheckpointError, MachineError, WatchdogError
 from repro.machine.config import MachineConfig
 from repro.machine.events import (
@@ -52,6 +63,7 @@ from repro.obs.events import (
     EventBus,
     EventKind,
     LockEvent,
+    MissEvent,
     NodeDoneEvent,
 )
 
@@ -137,6 +149,8 @@ class Machine:
         self.flush_at_barrier = flush_at_barrier
         self.epoch = 0
         self._block_shift = config.block_size.bit_length() - 1
+        # ready-heap keys are ``clock << _id_bits | node``
+        self._id_bits = (config.num_nodes - 1).bit_length()
         self._lock_holders: dict[int, int] = {}  # lock addr -> node
         # lock addr -> FIFO of (node, pc, enqueue clock)
         self._lock_queues: dict[int, deque[tuple[int, int, int]]] = {}
@@ -164,60 +178,58 @@ class Machine:
         cfg = self.config
         nodes = [_NodeState(kernel=kernel_factory(i)) for i in range(cfg.num_nodes)]
         self._nodes = nodes
+        bits = self._id_bits
         if resume_from is not None:
             self.restore(nodes, resume_from)
             if on_resume is not None:
                 on_resume()
             live = sum(1 for n in nodes if not n.done)
-            heap: list[tuple[int, int]] = [
-                (n.clock, i) for i, n in enumerate(nodes) if not n.done
-            ]
+            heap = [n.clock << bits | i for i, n in enumerate(nodes)
+                    if not n.done]
         else:
             live = cfg.num_nodes
-            # Ready heap of (clock, node_id); nodes waiting at a barrier or
-            # on a lock are absent from the heap until released.
-            heap = [(0, i) for i in range(cfg.num_nodes)]
+            heap = list(range(cfg.num_nodes))  # every clock is 0
         heapq.heapify(heap)
         barrier_waiters: list[int] = []
         # per-run constants, hoisted out of the step loop
+        id_mask = (1 << bits) - 1
+        # the watchdog fires on a key past every key of clock max_cycles
+        max_key = (math.inf if cfg.max_cycles is None
+                   else cfg.max_cycles << bits | id_mask)
         bus = self.bus
         subscribed = bus.subscribed
         publish = bus.publish
         faults = self.faults
-        max_cycles = cfg.max_cycles
         compute_cycles = cfg.cost.compute_cycles
         shift = self._block_shift
         read = self.protocol.read
         write = self.protocol.write
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
+        heapreplace = heapq.heapreplace
         ACCESS = EventKind.ACCESS
-        # Each step's closing push of the stepping node, fused with the
-        # next step's pop: heappushpop returns exactly the entry that
-        # push-then-pop would, so the interleaving is unchanged.
-        push = None
+        MISS = EventKind.MISS
+        HIT = AccessKind.HIT
 
-        while True:
-            if push is not None:
-                clock, nid = heappushpop(heap, push)
-                push = None
-            elif heap:
-                clock, nid = heappop(heap)
-            else:
-                break
+        # Each step ends by fetching the next key.  A node that stays
+        # ready goes back in with heappushpop, which returns exactly the
+        # key that push-then-pop would, so the interleaving is unchanged;
+        # a node that leaves the heap (done, at a barrier, waiting on a
+        # lock) is followed by a plain pop.
+        key = heappop(heap) if heap else None
+        while key is not None:
+            nid = key & id_mask
             state = nodes[nid]
-            if state.clock != clock:
-                continue  # stale heap entry
-            if max_cycles is not None and clock > max_cycles:
+            if key > max_key:
                 raise WatchdogError(
-                    f"node {nid} passed {max_cycles} cycles (last pc "
+                    f"node {nid} passed {cfg.max_cycles} cycles (last pc "
                     f"{state.last_pc}); workload livelocked or max_cycles "
                     f"too low for this run",
                     node=nid,
                     pc=state.last_pc,
                 )
-            if state.pending is not None:
-                event = state.pending
+            event = state.pending
+            if event is not None:
                 state.pending = None
             else:
                 try:
@@ -234,17 +246,21 @@ class Machine:
                             f"deadlock: node {nid} finished while nodes "
                             f"{sorted(barrier_waiters)} wait at a barrier"
                         ) from None
+                    key = heappop(heap) if heap else None
                     continue
                 # Charge the event's compute cycles first; if that pushes this
                 # node past another ready node, defer the *action* so that
                 # cross-node ordering reflects the virtual time of the action
-                # itself, not of the preceding computation.
+                # itself, not of the preceding computation.  Only a clock
+                # strictly past the smallest ready clock defers: an equal
+                # clock acts now, whatever the two node ids.
                 compute = event[1]
                 if compute:
-                    state.clock += compute * compute_cycles
-                    if heap and heap[0][0] < state.clock:
+                    clock = state.clock + compute * compute_cycles
+                    state.clock = clock
+                    if heap and heap[0] < clock << bits:
                         state.pending = event
-                        push = (state.clock, nid)
+                        key = heapreplace(heap, clock << bits | nid)
                         continue
 
             code = event[0]
@@ -258,12 +274,17 @@ class Machine:
                     else:
                         result = read(nid, addr >> shift, started)
                     state.clock = started + result.cycles
-                    if ACCESS in subscribed:
-                        publish(AccessEvent(
-                            nid, self.epoch, addr, pc, is_write, started,
-                            result,
-                        ))
-                push = (state.clock, nid)
+                    if subscribed:
+                        if ACCESS in subscribed:
+                            publish(AccessEvent(
+                                nid, self.epoch, addr, pc, is_write, started,
+                                result,
+                            ))
+                        if MISS in subscribed and result.kind is not HIT:
+                            publish(MissEvent(
+                                nid, self.epoch, addr, pc, is_write, started,
+                                result,
+                            ))
 
             elif code == EV_BARRIER:
                 _, _compute, pc = event
@@ -281,6 +302,8 @@ class Machine:
                     if checkpoint is not None:
                         checkpoint(self.snapshot())
                 # else: node stays off the heap until the barrier opens
+                key = heappop(heap) if heap else None
+                continue
 
             elif code == EV_DIRECTIVE:
                 _, _compute, kind, addrs, pc = event
@@ -293,21 +316,11 @@ class Machine:
                         nid, self.epoch, kind, len(blocks), pc, started,
                         cycles, blocks,
                     ))
-                push = (state.clock, nid)
 
             elif code == EV_LOCK:
                 _, _compute, addr, pc = event
                 holder = self._lock_holders.get(addr)
-                if holder is None:
-                    self._lock_holders[addr] = nid
-                    started = state.clock
-                    state.clock += cfg.lock_cycles
-                    if EventKind.LOCK_ACQUIRE in subscribed:
-                        publish(LockEvent(
-                            EventKind.LOCK_ACQUIRE, nid, addr, pc, started,
-                        ))
-                    push = (state.clock, nid)
-                else:
+                if holder is not None:
                     state.waiting_lock = addr
                     self._lock_queues.setdefault(addr, deque()).append(
                         (nid, pc, state.clock)
@@ -317,6 +330,15 @@ class Machine:
                             EventKind.LOCK_CONTEND, nid, addr, pc, state.clock,
                         ))
                     # off the heap until the lock is granted
+                    key = heappop(heap) if heap else None
+                    continue
+                self._lock_holders[addr] = nid
+                started = state.clock
+                state.clock += cfg.lock_cycles
+                if EventKind.LOCK_ACQUIRE in subscribed:
+                    publish(LockEvent(
+                        EventKind.LOCK_ACQUIRE, nid, addr, pc, started,
+                    ))
 
             elif code == EV_UNLOCK:
                 _, _compute, addr, pc = event
@@ -342,11 +364,11 @@ class Machine:
                             EventKind.LOCK_ACQUIRE, waiter, addr, wpc, granted,
                             granted - enqueued,
                         ))
-                    heapq.heappush(heap, (wstate.clock, waiter))
-                push = (state.clock, nid)
+                    heapq.heappush(heap, wstate.clock << bits | waiter)
 
             else:
                 raise MachineError(f"unknown kernel event {event!r}")
+            key = heappushpop(heap, state.clock << bits | nid)
 
         if barrier_waiters:
             raise BarrierError(
@@ -387,30 +409,30 @@ class Machine:
                 self.protocol.flush_node(nid, now=vt)
         self.epoch += 1
         self.protocol.set_epoch(self.epoch)
+        bits = self._id_bits
         for nid in waiters:
             nodes[nid].at_barrier = False
             nodes[nid].clock = resume
-            heapq.heappush(heap, (resume, nid))
+            heapq.heappush(heap, resume << bits | nid)
 
     def _issue_directive(self, node: int, kind: int, blocks, now: int) -> int:
         """Issue one protocol operation per block of the sorted distinct
         ``blocks``; return cycles."""
-        cycles = 0
         proto = self.protocol
+        cycles = 0
+        if kind == DIR_CHECK_IN:
+            for block in blocks:
+                cycles += proto.check_in(node, block, now + cycles)
+            return cycles
+        if kind == DIR_CHECK_OUT_S or kind == DIR_CHECK_OUT_X:
+            op = proto.check_out
+        elif kind == DIR_PREFETCH_S or kind == DIR_PREFETCH_X:
+            op = proto.prefetch
+        else:
+            raise MachineError(f"unknown directive kind {kind}")
+        exclusive = kind == DIR_CHECK_OUT_X or kind == DIR_PREFETCH_X
         for block in blocks:
-            at = now + cycles
-            if kind == DIR_CHECK_OUT_S:
-                cycles += proto.check_out(node, block, exclusive=False, now=at)
-            elif kind == DIR_CHECK_OUT_X:
-                cycles += proto.check_out(node, block, exclusive=True, now=at)
-            elif kind == DIR_CHECK_IN:
-                cycles += proto.check_in(node, block, now=at)
-            elif kind == DIR_PREFETCH_S:
-                cycles += proto.prefetch(node, block, exclusive=False, now=at)
-            elif kind == DIR_PREFETCH_X:
-                cycles += proto.prefetch(node, block, exclusive=True, now=at)
-            else:
-                raise MachineError(f"unknown directive kind {kind}")
+            cycles += op(node, block, exclusive, now + cycles)
         return cycles
 
     # ------------------------------------------------------------ checkpoint

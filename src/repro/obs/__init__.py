@@ -14,6 +14,7 @@ from repro.obs.events import (
     EventKind,
     LockEvent,
     MessageEvent,
+    MissEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -80,6 +81,7 @@ __all__ = [
     "MessageEvent",
     "MetricsError",
     "MetricsRegistry",
+    "MissEvent",
     "NodeDoneEvent",
     "Observation",
     "Observer",

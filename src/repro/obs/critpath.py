@@ -6,7 +6,7 @@ annotation sites: a thousand misses on a node with slack cost nothing, while
 one recall on the straggler's path lengthens the whole run.  This module
 turns the obs event stream into exactly that causal view:
 
-* :class:`CriticalPathAnalyzer` subscribes ``ACCESS`` / ``DIRECTIVE`` /
+* :class:`CriticalPathAnalyzer` subscribes ``MISS`` / ``DIRECTIVE`` /
   ``LOCK_ACQUIRE`` / ``TRAP`` / ``RECALL`` / ``MESSAGE`` / ``BARRIER`` /
   ``NODE_DONE`` and, per epoch, identifies the **critical node** (the
   barrier's last arrival), computes every node's **slack** (how long it
@@ -35,15 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.coherence.protocol import AccessKind
 from repro.obs.events import (
-    AccessEvent,
     BarrierEvent,
     DirectiveEvent,
     EventBus,
     EventKind,
     LockEvent,
     MessageEvent,
+    MissEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -127,7 +126,7 @@ class CriticalPathAnalyzer:
         """Subscribe to ``bus``; returns the subscription tokens."""
         sub = bus.subscribe
         self._tokens = [
-            sub((EventKind.ACCESS,), self._on_access),
+            sub((EventKind.MISS,), self._on_miss),
             sub((EventKind.DIRECTIVE,), self._on_directive),
             sub((EventKind.LOCK_ACQUIRE,), self._on_lock),
             sub((EventKind.TRAP, EventKind.RECALL), self._on_slow_path),
@@ -165,10 +164,10 @@ class CriticalPathAnalyzer:
         return site
 
     # ---------------------------------------------------------- handlers
-    def _on_access(self, ev: AccessEvent) -> None:
+    def _on_miss(self, ev: MissEvent) -> None:
+        # hits (and prefetch completion waits) are compute-side: they never
+        # reach this handler
         result = ev.result
-        if result.kind is AccessKind.HIT:
-            return  # hits (and prefetch completion waits) are compute-side
         array = self._array_of_addr(ev.addr)
         cause = result.detail or result.kind.value
         site = self._site(ev.node, array, ev.pc, cause)

@@ -5,7 +5,10 @@ access outcomes, directive issues, barrier crossings and lock hand-offs; the
 protocol publishes its slow-path events (Dir1SW software traps, recalls);
 the network publishes per-message traffic.  Consumers — the trace collector,
 the metrics/timeline layer, the Chrome-trace recorder, ad-hoc test probes —
-subscribe to the :class:`EventKind`\\ s they care about.
+subscribe to the :class:`EventKind`\\ s they care about.  Access outcomes
+come on two topics: ACCESS carries every one, MISS only those that are not
+hits (see :class:`MissEvent`), so a consumer of misses alone is never
+called for the hits that make up most references.
 
 Cheap when enabled, free when disabled
 --------------------------------------
@@ -64,6 +67,7 @@ class EventKind(enum.IntEnum):
     RECALL = enum.auto()  # directory recalled an exclusive owner's copy
     MESSAGE = enum.auto()  # protocol network message(s)
     NODE_DONE = enum.auto()  # a node's kernel finished
+    MISS = enum.auto()  # every shared reference outcome that is not a hit
 
 
 class AccessEvent(NamedTuple):
@@ -78,6 +82,22 @@ class AccessEvent(NamedTuple):
     result: "AccessResult"  # cycles / AccessKind / detail
 
     kind = EventKind.ACCESS
+
+
+class MissEvent(AccessEvent):
+    """An :class:`AccessEvent` whose outcome is not a hit: a read miss, a
+    write miss or a write fault.
+
+    The machine publishes it after the reference's ACCESS event, with the
+    same field values, and only while someone subscribes to MISS.  A
+    consumer that reads only misses (the trace collector, the critical-path
+    analyzer) subscribes here and is not called for the hits; a consumer
+    that needs hits, including prefetch completions, stays on ACCESS.
+    """
+
+    __slots__ = ()
+
+    kind = EventKind.MISS
 
 
 class DirectiveEvent(NamedTuple):
@@ -197,6 +217,7 @@ class NodeDoneEvent(NamedTuple):
 
 Event = (
     AccessEvent
+    | MissEvent
     | DirectiveEvent
     | BarrierEvent
     | LockEvent

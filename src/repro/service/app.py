@@ -86,6 +86,15 @@ class _BadRequest(ServiceError):
     """The request's framing is broken: answered 400, connection closed."""
 
 
+def _job_id(text: str) -> int:
+    """A job id from a URL path segment.  Anything but ASCII digits names
+    no job, so a GET answers 404 (``int()`` alone would also take ``-1``,
+    `` 1`` or ``1_0``, and raise a bare ValueError on the rest)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ServiceError(f"no job with id {text!r}")
+    return int(text)
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"  # keep-alive
@@ -212,15 +221,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
             rest = path[len("/api/jobs/"):]
             if "/artifacts/" in rest:
                 job_id, name = rest.split("/artifacts/", 1)
-                self._artifact(int(job_id), name)
+                self._artifact(_job_id(job_id), name)
             else:
-                self._json(queue.job_payload(queue.db.job(int(rest))))
+                self._json(queue.job_payload(queue.db.job(_job_id(rest))))
         elif path in ("/", "/index.html"):
             self._dashboard_index()
         elif path == "/ops.html":
             self._dashboard_ops()
         elif path.startswith("/jobs/") and path.endswith(".html"):
-            self._dashboard_job(int(path[len("/jobs/"):-len(".html")]))
+            self._dashboard_job(_job_id(path[len("/jobs/"):-len(".html")]))
         else:
             self._error(404, f"no route for {path}")
 

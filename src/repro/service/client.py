@@ -20,6 +20,9 @@ from repro.errors import ServiceError
 
 #: job states that wait() treats as terminal
 TERMINAL_STATES = ("done", "failed")
+#: wait()'s first sleep between two polls, and the cap its doubling stops at
+FIRST_POLL_S = 0.005
+MAX_POLL_S = 0.2
 
 
 class ServiceClient:
@@ -139,19 +142,29 @@ class ServiceClient:
     def jobs(self) -> list[dict]:
         return self._json("/api/jobs")["jobs"]
 
-    def wait(self, job_id: int, timeout: float = 600.0,
-             poll_interval: float = 0.2) -> dict:
-        """Poll until the job reaches ``done`` or ``failed``."""
+    def wait(self, job_id: int, timeout: float = 600.0) -> dict:
+        """Poll until the job reaches ``done`` or ``failed``.
+
+        The first poll goes out at once and the next after
+        :data:`FIRST_POLL_S`; each later interval doubles, up to
+        :data:`MAX_POLL_S`, and none runs past ``timeout``.  A job of a
+        few tens of milliseconds is seen finished within a few
+        milliseconds, and a long one costs the daemon at most five polls
+        a second.
+        """
         deadline = time.monotonic() + timeout
+        interval = FIRST_POLL_S
         while True:
             payload = self.job(job_id)
             if payload["state"] in TERMINAL_STATES:
                 return payload
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     f"job {job_id} still {payload['state']} after {timeout}s"
                 )
-            time.sleep(poll_interval)
+            time.sleep(min(interval, remaining))
+            interval = min(2 * interval, MAX_POLL_S)
 
     def artifact(self, job_id: int, name: str) -> bytes:
         return self._request(f"/api/jobs/{int(job_id)}/artifacts/{name}")

@@ -14,9 +14,8 @@ within an epoch no ordering is preserved.
 
 from __future__ import annotations
 
-from repro.coherence.protocol import AccessKind
 from repro.mem.labels import LabelTable
-from repro.obs.events import AccessEvent, BarrierEvent, EventBus, EventKind
+from repro.obs.events import BarrierEvent, EventBus, EventKind, MissEvent
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
 
 
@@ -43,17 +42,15 @@ class TraceCollector:
     def subscribe(self, bus: EventBus) -> list[int]:
         """Attach to a machine's event bus; returns the subscription tokens."""
         return [
-            bus.subscribe((EventKind.ACCESS,), self._on_access_event),
+            bus.subscribe((EventKind.MISS,), self._on_miss_event),
             bus.subscribe((EventKind.BARRIER,), self._on_barrier_event),
         ]
 
-    def _on_access_event(self, event: AccessEvent) -> None:
-        kind = event.result.kind
-        if kind is AccessKind.HIT:
-            return
+    def _on_miss_event(self, event: MissEvent) -> None:
         self._current_epoch = event.epoch
         self._epoch_table.setdefault(
-            (event.node, event.addr, MissKind.from_access(kind)), event.pc
+            (event.node, event.addr, MissKind.from_access(event.result.kind)),
+            event.pc,
         )
 
     def _on_barrier_event(self, event: BarrierEvent) -> None:

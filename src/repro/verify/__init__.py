@@ -196,18 +196,22 @@ class InvariantChecker:
 
     # -------------------------------------------------------------- wiring
     def subscribe(self, bus: EventBus) -> int:
-        """Listen to every event kind; returns the primary bus token.
+        """Listen to every event kind but MISS; returns the primary bus
+        token.
 
         The two hot kinds — ACCESS and MESSAGE — get dedicated handlers
         that skip the dispatch chain entirely; like the catch-all handler
         they stay registered for the bus's lifetime (nothing unsubscribes
-        a checker mid-run).
+        a checker mid-run).  MISS is left out: every miss already reaches
+        the checker as an ACCESS event, and subscribing would make the
+        machine publish a second copy of each.
         """
         bus.subscribe((EventKind.ACCESS,), self._on_access)
         bus.subscribe((EventKind.MESSAGE,), self._on_message)
         rest = [
             kind for kind in EventKind
-            if kind not in (EventKind.ACCESS, EventKind.MESSAGE)
+            if kind not in (EventKind.ACCESS, EventKind.MESSAGE,
+                            EventKind.MISS)
         ]
         return bus.subscribe(rest, self._handle)
 

@@ -168,6 +168,37 @@ def test_post_without_content_length_is_a_400(live):
     assert reply.count(b"HTTP/1.1 ") == 1
 
 
+def test_bad_job_id_is_a_404(live):
+    """A job id that is not a plain decimal names no job: each route that
+    takes one answers 404 naming it, nothing crashes, and the kept-alive
+    connection carries on."""
+    _client, server, accepted, _closed = live
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+    try:
+        for path, bad_id in (("/api/jobs/abc", "abc"),
+                             ("/api/jobs/abc/artifacts/x", "abc"),
+                             ("/jobs/x.html", "x"),
+                             ("/api/jobs/-1", "-1"),
+                             ("/api/jobs/%201", "%201")):
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            assert resp.status == 404, path
+            assert json.loads(resp.read()) == {
+                "error": f"no job with id {bad_id!r}"
+            }
+        conn.request("GET", "/api/status")
+        resp = conn.getresponse()
+        assert resp.status == 200
+        resp.read()
+    finally:
+        conn.close()
+    assert len(accepted) == 1
+    events = [(event, fields.get("status"))
+              for _level, event, fields in server.log.events]
+    assert events.count(("request", 404)) == 5
+    assert "request handler crashed" not in [e for e, _ in events]
+
+
 # ---------------------------------------------------------- client resend
 def test_client_resends_once_when_daemon_closed_idle_connection(
         live, monkeypatch):
