@@ -59,7 +59,9 @@ def _measure_mode(telemetry: bool, requests: int, batches: int) -> dict:
                     client.submit("annotate", params)
                 batch_s.append(time.perf_counter() - start)
         finally:
+            client.close()
             server.shutdown()
+            server.server_close()
             queue.stop()
     return {
         "telemetry": telemetry,

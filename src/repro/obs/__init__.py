@@ -33,8 +33,9 @@ _LAZY = {
     "read_manifest": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
     "write_manifest": "repro.obs.export",
-    "AttributionProfiler": "repro.obs.attrib",
     "SourceMap": "repro.obs.attrib",
+    "StallLedger": "repro.obs.attrib",
+    "attribution_report": "repro.obs.attrib",
     "folded_stacks": "repro.obs.attrib",
     "profile_trace": "repro.obs.attrib",
     "render_profile": "repro.obs.attrib",
@@ -66,7 +67,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AccessEvent",
-    "AttributionProfiler",
     "BarrierEvent",
     "Counter",
     "DirectiveEvent",
@@ -89,8 +89,10 @@ __all__ = [
     "ServiceTelemetry",
     "ServiceTracer",
     "SourceMap",
+    "StallLedger",
     "StructLog",
     "TrapEvent",
+    "attribution_report",
     "bench_workload",
     "bind",
     "chrome_trace",

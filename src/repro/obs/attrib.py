@@ -8,14 +8,19 @@ module applies the same join to the live event stream of the obs bus, so a
 run can answer "which array, which source line, which epoch is burning the
 traffic?":
 
-* :class:`AttributionProfiler` subscribes ``ACCESS`` / ``DIRECTIVE`` /
-  ``TRAP`` / ``RECALL`` / ``MESSAGE`` / ``LOCK_ACQUIRE`` / ``BARRIER``
-  events and attributes misses, stall cycles, invalidation traffic and trap
-  counts to (data structure, source line, epoch) cells;
-* the **annotation-effectiveness audit** tracks, per epoch, check-outs whose
-  blocks were never re-referenced, check-ins immediately followed by a
-  re-miss on the same node, and directive coverage of the epoch's misses;
-* :func:`profile_trace` performs the same join *offline* on a stored
+* :class:`StallLedger` subscribes ``ACCESS`` (or only ``MISS``) /
+  ``DIRECTIVE`` / ``TRAP`` / ``RECALL`` / ``MESSAGE`` / ``LOCK_ACQUIRE`` /
+  ``BARRIER`` / ``NODE_DONE`` and keeps each epoch's stall spans keyed by
+  (node, data structure, pc, cause), plus each epoch's length, barrier
+  arrivals, messages per node and **annotation-effectiveness audit**:
+  check-outs whose blocks were never re-referenced, check-ins immediately
+  followed by a re-miss on the same node, and directive coverage of the
+  epoch's acquisitions;
+* :func:`attribution_report` sums the spans over nodes and causes into
+  (data structure, source line, epoch) cells of misses, stall cycles,
+  invalidation traffic and trap counts; :mod:`repro.obs.critpath` reads
+  the same spans for the critical path;
+* :func:`profile_trace` feeds a ledger *offline* from a stored
   :class:`~repro.trace.records.Trace` via its labelled-region table;
 * :func:`render_profile` / :func:`folded_stacks` / :func:`render_heatmap`
   turn a report into the ``repro-obs profile`` text output, flamegraph
@@ -25,9 +30,10 @@ Attribution is read-only: handlers never mutate simulator state, so a
 profiled run stays cycle-for-cycle identical to an unobserved one.
 
 Traps and recalls are published by the protocol *inside* the access or
-directive that caused them and carry no pc; the profiler holds them per
+directive that caused them and carry no pc; the ledger holds them per
 requesting node and folds them into that node's next access/directive
-event, which recovers full source-line attribution for the slow paths.
+event, each at its own block's array, which recovers full source-line
+attribution for the slow paths.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coherence.protocol import AccessKind
-from repro.errors import ObsError
+from repro.errors import LabelError, ObsError
 from repro.lang.ast import Barrier, Program, walk_stmts
 from repro.lang.unparse import target_str, unparse_with_map
 from repro.machine.events import (
@@ -54,6 +60,7 @@ from repro.obs.events import (
     EventKind,
     LockEvent,
     MessageEvent,
+    NodeDoneEvent,
     RecallEvent,
     TrapEvent,
 )
@@ -101,76 +108,92 @@ class SourceMap:
         return self.barrier_labels.get(barrier_pc, "")
 
 
-class _Cell:
-    """One (array, pc, epoch) attribution cell."""
+#: span causes besides a miss's own (its protocol detail, or its kind when
+#: the miss has none): a directive's issue cost and a lock acquire's wait
+DIRECTIVE = "directive"
+LOCK = "lock"
 
-    __slots__ = (
-        "hits", "read_miss", "write_miss", "write_fault", "stall",
-        "dir_issues", "dir_cycles", "dir_blocks",
-        "traps", "trap_copies", "recalls", "recalls_dirty",
-        "lock_acquires", "lock_wait",
-    )
+_HIT = AccessKind.HIT
+#: the attribution counts a span carries as they are
+_SPAN_COUNTS = (
+    "misses", "read_miss", "write_miss", "write_fault", "dir_issues",
+    "traps", "trap_copies", "recalls", "recalls_dirty", "lock_acquires",
+)
+#: the attribution field a span's cycles count in, by cause
+_CYCLES_FIELD = {DIRECTIVE: "dir_cycles", LOCK: "lock_wait_cycles"}
+_CELL_FIELDS = _SPAN_COUNTS + ("stall_cycles", "dir_cycles", "lock_wait_cycles")
+#: a structure row's and a line row's counts
+_ROW_FIELDS = tuple(f for f in _CELL_FIELDS if f != "recalls_dirty")
+#: the check-out audit's counts the report totals, and all its per-epoch keys
+_AUDIT_TOTALS = ("checkouts", "checkins", "useless_checkouts", "premature_checkins")
+_AUDIT_KEYS = ("missed_pairs", "directive_pairs", "coverage") + _AUDIT_TOTALS
 
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+
+@dataclass(slots=True)
+class Span:
+    """Stall at one (node, array, pc, cause) within one epoch.
+
+    ``cycles`` is the stall and ``count`` the events that paid it (misses,
+    directives, lock acquires that waited); the rest are attribution
+    counts.  A directive's ``cycles`` and ``count`` land on its first
+    block's array, and ``dir_issues`` counts the blocks it covered in each.
+    """
+
+    cycles: int = 0
+    count: int = 0
+    read_miss: int = 0
+    write_miss: int = 0
+    write_fault: int = 0
+    dir_issues: int = 0
+    lock_acquires: int = 0  # waited for or not
+    traps: int = 0
+    trap_copies: int = 0
+    recalls: int = 0
+    recalls_dirty: int = 0
 
     @property
     def misses(self) -> int:
         return self.read_miss + self.write_miss + self.write_fault
 
 
-_HIT = AccessKind.HIT
-_KIND_FIELD = {
-    AccessKind.READ_MISS: "read_miss",
-    AccessKind.WRITE_MISS: "write_miss",
-    AccessKind.WRITE_FAULT: "write_fault",
-}
-
-
 @dataclass
 class _EpochAudit:
     """Per-epoch annotation-effectiveness bookkeeping (reset at barriers)."""
 
-    #: (node, block) -> [array, referenced?] for live check-outs/prefetches
-    outstanding: dict[tuple[int, int], list] = field(default_factory=dict)
-    #: (node, block) -> array for blocks checked in this epoch
-    checked_in: dict[tuple[int, int], str] = field(default_factory=dict)
+    #: (node, block) -> referenced? for live check-outs/prefetches
+    outstanding: dict[tuple[int, int], bool] = field(default_factory=dict)
+    #: (node, block) checked in this epoch
+    checked_in: set[tuple[int, int]] = field(default_factory=set)
     missed_pairs: set[tuple[int, int]] = field(default_factory=set)
     covered_pairs: set[tuple[int, int]] = field(default_factory=set)
     useless_checkouts: int = 0
     premature_checkins: int = 0
     checkouts: int = 0
     checkins: int = 0
-    messages: int = 0
     #: requesting node -> messages its transactions sent this epoch
     #: (node -1 collects traffic outside any transaction, e.g. flushes)
     messages_by_node: dict[int, int] = field(default_factory=dict)
 
 
-class AttributionProfiler:
-    """Join the event stream with the labelled-region table.
+class StallLedger:
+    """Each epoch's stall spans, keyed by (node, array, pc, cause).
 
-    Parameters
-    ----------
-    labels:
-        The run's labelled-region table (``SharedStore.labels``, or
-        ``Trace.label_table()`` when replaying a stored trace's join).
-    block_size:
-        Block size of the simulated machine (blocks in trap/recall/directive
-        events are resolved through ``block * block_size``).
-    source:
-        Optional :class:`SourceMap` for pc -> line joining.
-    env:
-        Optional :class:`~repro.cachier.mapping.ParamEnv`; when given, each
-        hot structure's per-node miss footprint is re-expressed as a
-        symbolic range (``B[Lkp:Ukp, 0:15]``) exactly the way the annotator
-        symbolizes annotation targets.
+    The one bus subscriber behind :func:`attribution_report` and
+    :func:`repro.obs.critpath.critpath_report`.  Each closed epoch keeps
+    its label, length, barrier arrivals, messages per node and check-out
+    audit.  ``labels`` is the run's labelled-region table
+    (``SharedStore.labels`` or ``Trace.label_table()``; without one every
+    span lands in :data:`UNLABELLED`), ``source`` an optional
+    :class:`SourceMap`, and ``env`` an optional
+    :class:`~repro.cachier.mapping.ParamEnv`: with it each hot structure's
+    per-node miss footprint is re-expressed as a symbolic range
+    (``B[Lkp:Ukp, 0:15]``) exactly the way the annotator symbolizes
+    annotation targets.
     """
 
     def __init__(
         self,
-        labels: LabelTable,
+        labels: LabelTable | None = None,
         block_size: int = 32,
         source: SourceMap | None = None,
         env=None,
@@ -182,53 +205,53 @@ class AttributionProfiler:
         self._shift = block_size.bit_length() - 1
         self.source = source
         self.env = env
-        self._cells: dict[tuple[str, int, int], _Cell] = {}
+        #: epoch -> (node, array, pc, cause) -> Span
+        self.spans: dict[int, dict[tuple[int, str, int, str], Span]] = {}
+        self.epochs: list[dict] = []  # one per closed epoch, in order
+        self.hits = 0  # read from ACCESS only; see attach
+        self.epoch = 0  # the open epoch
+        self.start_vt = 0  # where it started: the previous barrier's vt
+        self._resume = 0  # clock the nodes resumed from
+        self._done: dict[int, int] = {}  # node -> completion clock
         # block -> (label or None, array name); see _block_label
         self._blocks: dict[int, tuple[ArrayLabel | None, str]] = {}
-        self._label_cache: dict[str, ArrayLabel | None] = {}
         # per-node trap/recall events awaiting their enclosing access/directive
         self._pending: dict[int, list] = {}
-        self._epoch = 0
-        self._prev_vt = 0
         self._audit = _EpochAudit()
-        self._epoch_rows: list[dict] = []
         # (array, epoch) -> node -> missed flat element indices, expanded to
-        # whole blocks (a miss acquires the full block)
+        # whole blocks (a miss acquires the full block); kept only with env
         self._foot: dict[tuple[str, int], dict[int, set[int]]] = {}
-        self._tokens: list[int] = []
         self._finalized = False
 
-    # ------------------------------------------------------------ wiring
-    def attach(self, bus: EventBus) -> list[int]:
-        """Subscribe to ``bus``; returns the subscription tokens."""
+    def attach(self, bus: EventBus, hits: bool = True) -> list[int]:
+        """Subscribe to ``bus``; returns the subscription tokens.
+
+        With ``hits`` the ledger reads every access (``ACCESS``): the
+        attribution report's hit total and check-out audit need them.
+        Without, it reads only ``MISS``, and a hit costs it nothing.
+        """
         sub = bus.subscribe
-        self._tokens = [
-            sub((EventKind.ACCESS,), self._on_access),
+        return [
+            sub((EventKind.ACCESS,), self._on_access) if hits
+            else sub((EventKind.MISS,), self._on_miss),
             sub((EventKind.DIRECTIVE,), self._on_directive),
             sub((EventKind.TRAP, EventKind.RECALL), self._on_slow_path),
             sub((EventKind.MESSAGE,), self._on_message),
             sub((EventKind.LOCK_ACQUIRE,), self._on_lock),
             sub((EventKind.BARRIER,), self._on_barrier),
+            sub((EventKind.NODE_DONE,), self._on_node_done),
         ]
-        return list(self._tokens)
-
-    def detach(self, bus: EventBus) -> None:
-        for token in self._tokens:
-            bus.unsubscribe(token)
-        self._tokens.clear()
 
     # ----------------------------------------------------------- resolve
-    def _array_of_addr(self, addr: int) -> str:
-        label = self.labels.find(addr)
-        return label.name if label is not None else UNLABELLED
-
     def _block_label(self, block: int) -> tuple[ArrayLabel | None, str]:
         """The label covering ``block`` and its array name, memoized per
         block.  Exact: every region is allocated as whole blocks from a
         block-aligned base, so no block straddles two labels."""
         entry = self._blocks.get(block)
         if entry is None:
-            label = self.labels.find(block << self._shift)
+            label = None
+            if self.labels is not None:
+                label = self.labels.find(block << self._shift)
             name = label.name if label is not None else UNLABELLED
             entry = self._blocks[block] = (label, name)
         return entry
@@ -247,172 +270,192 @@ class AttributionProfiler:
         )
         return range(lo, hi)
 
-    def _cell(self, array: str, pc: int, epoch: int) -> _Cell:
-        key = (array, pc, epoch)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = _Cell()
-        return cell
+    def _span(self, epoch: int, node: int, array: str, pc: int,
+              cause: str) -> Span:
+        spans = self.spans.get(epoch)
+        if spans is None:
+            spans = self.spans[epoch] = {}
+        key = (node, array, pc, cause)
+        span = spans.get(key)
+        if span is None:
+            span = spans[key] = Span()
+        return span
 
-    def _fold_pending(self, node: int, pc: int, epoch: int) -> None:
-        events = self._pending.pop(node, None)
-        if not events:
-            return
-        for ev in events:
-            # The slow-path event names its own block; the enclosing
-            # access/directive supplies the source position.
-            cell = self._cell(self._array_of_block(ev.block), pc, epoch)
+    def _fold(self, node: int, epoch: int, pc: int, cause: str) -> None:
+        """Fold ``node``'s held traps and recalls into its access or
+        directive at (pc, cause), each at its own block's array."""
+        for ev in self._pending.pop(node, ()):
+            span = self._span(epoch, node, self._array_of_block(ev.block),
+                              pc, cause)
             if isinstance(ev, TrapEvent):
-                cell.traps += 1
-                cell.trap_copies += ev.copies
+                span.traps += 1
+                span.trap_copies += ev.copies
             else:
-                cell.recalls += 1
-                if ev.dirty:
-                    cell.recalls_dirty += 1
+                span.recalls += 1
+                span.recalls_dirty += ev.dirty
 
-    # ---------------------------------------------------------- handlers
-    def _on_access(self, ev: AccessEvent) -> None:
-        node, epoch, addr, pc, _write, _t, result = ev
-        block = addr >> self._shift
+    def charge_miss(self, node: int, epoch: int, block: int, pc: int,
+                    kind: str, cycles: int = 0, detail: str = "") -> None:
+        """One miss of ``kind`` (an :class:`AccessKind` value) on ``block``,
+        spanned under its ``detail`` (or its kind when it has none)."""
         label, array = self._blocks.get(block) or self._block_label(block)
-        key = (array, pc, epoch)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = _Cell()
-        audit = self._audit
-        if audit.outstanding:
-            entry = audit.outstanding.get((node, block))
-            if entry is not None:
-                entry[1] = True  # the check-out's block got re-referenced
-        kind = result.kind
-        if kind is _HIT:
-            cell.hits += 1
-            return
-        # only a miss's slow path publishes traps and recalls
-        if self._pending:
-            self._fold_pending(node, pc, epoch)
-        field_name = _KIND_FIELD[kind]
-        setattr(cell, field_name, getattr(cell, field_name) + 1)
-        cell.stall += result.cycles
-        pair = (node, block)
-        audit.missed_pairs.add(pair)
-        if audit.checked_in.pop(pair, None) is not None:
-            audit.premature_checkins += 1
-        if label is not None:
+        span = self._span(epoch, node, array, pc, detail or kind)
+        span.cycles += cycles
+        span.count += 1
+        setattr(span, kind, getattr(span, kind) + 1)
+        if self.env is not None and label is not None:
             self._foot.setdefault((array, epoch), {}).setdefault(
                 node, set()
             ).update(self._block_flats(label, block))
 
-    def _on_directive(self, ev: DirectiveEvent) -> None:
+    # ---------------------------------------------------------- handlers
+    def _on_access(self, ev: AccessEvent) -> None:
+        result = ev.result
+        if result.kind is not _HIT:
+            self._on_miss(ev)
+            return
+        self.hits += 1
+        outstanding = self._audit.outstanding
+        if outstanding:
+            pair = (ev.node, ev.addr >> self._shift)
+            if pair in outstanding:
+                outstanding[pair] = True  # the checked-out block is used
+
+    def _on_miss(self, ev: AccessEvent) -> None:
+        node, epoch, addr, pc, _write, _t, result = ev
+        block = addr >> self._shift
+        pair = (node, block)
         audit = self._audit
-        for block in ev.blockset:
+        if pair in audit.outstanding:
+            audit.outstanding[pair] = True
+        kind = result.kind.value
+        self.charge_miss(node, epoch, block, pc, kind, result.cycles,
+                         result.detail)
+        # only a miss's slow path publishes traps and recalls
+        if self._pending:
+            self._fold(node, epoch, pc, result.detail or kind)
+        audit.missed_pairs.add(pair)
+        if pair in audit.checked_in:
+            audit.checked_in.remove(pair)
+            audit.premature_checkins += 1
+
+    def _on_directive(self, ev: DirectiveEvent) -> None:
+        node, epoch, pc, blockset = ev.node, ev.epoch, ev.pc, ev.blockset
+        # the issue cost goes to the first covered structure
+        first = self._array_of_block(blockset[0]) if blockset else UNLABELLED
+        span = self._span(epoch, node, first, pc, DIRECTIVE)
+        span.cycles += ev.cycles
+        span.count += 1
+        audit = self._audit
+        checkout = ev.dkind in _CHECK_OUTS
+        for block in blockset:
             array = self._array_of_block(block)
-            cell = self._cell(array, ev.pc, ev.epoch)
-            cell.dir_issues += 1
-            cell.dir_blocks += 1
-            pair = (ev.node, block)
-            if ev.dkind in _CHECK_OUTS:
+            self._span(epoch, node, array, pc, DIRECTIVE).dir_issues += 1
+            pair = (node, block)
+            if checkout:
                 audit.checkouts += 1
                 audit.covered_pairs.add(pair)
-                audit.outstanding.setdefault(pair, [array, False])
+                audit.outstanding.setdefault(pair, False)
             elif ev.dkind == DIR_CHECK_IN:
                 audit.checkins += 1
-                entry = audit.outstanding.pop(pair, None)
-                if entry is not None and not entry[1]:
+                if audit.outstanding.pop(pair, True) is False:
                     audit.useless_checkouts += 1
-                audit.checked_in[pair] = array
-        if ev.blockset:
-            # Charge the issue cost to the first covered structure.
-            first = self._array_of_block(ev.blockset[0])
-            self._cell(first, ev.pc, ev.epoch).dir_cycles += ev.cycles
-        self._fold_pending(ev.node, ev.pc, ev.epoch)
+                audit.checked_in.add(pair)
+        self._fold(node, epoch, pc, DIRECTIVE)
 
     def _on_slow_path(self, ev: TrapEvent | RecallEvent) -> None:
         self._pending.setdefault(ev.node, []).append(ev)
 
     def _on_message(self, ev: MessageEvent) -> None:
-        audit = self._audit
-        audit.messages += ev.count
-        audit.messages_by_node[ev.node] = (
-            audit.messages_by_node.get(ev.node, 0) + ev.count
-        )
+        msgs = self._audit.messages_by_node
+        msgs[ev.node] = msgs.get(ev.node, 0) + ev.count
 
     def _on_lock(self, ev: LockEvent) -> None:
-        cell = self._cell(self._array_of_addr(ev.addr), ev.pc, self._epoch)
-        cell.lock_acquires += 1
-        cell.lock_wait += ev.wait
+        span = self._span(self.epoch, ev.node,
+                          self._array_of_block(ev.addr >> self._shift),
+                          ev.pc, LOCK)
+        span.lock_acquires += 1
+        if ev.wait:
+            span.cycles += ev.wait
+            span.count += 1
 
     def _on_barrier(self, ev: BarrierEvent) -> None:
         label = ""
         if self.source is not None and ev.node_pcs:
             label = self.source.epoch_label(next(iter(ev.node_pcs.values())))
-        self._close_epoch(ev.vt, label)
-        self._epoch = ev.epoch + 1
-        self._prev_vt = ev.vt
+        self.close_epoch(ev.epoch, ev.vt, label, resume=ev.resume,
+                         arrivals=dict(ev.node_clocks))
+
+    def _on_node_done(self, ev: NodeDoneEvent) -> None:
+        self._done[ev.node] = ev.t
 
     # --------------------------------------------------------- lifecycle
-    def _close_epoch(self, end_vt: int, label: str) -> None:
+    def close_epoch(self, epoch: int, end_vt: int, label: str,
+                    resume: int | None = None,
+                    arrivals: dict[int, int] | None = None) -> None:
+        """Close ``epoch`` at ``end_vt``; the nodes arrived at ``arrivals``
+        and resume the next epoch at ``resume``."""
         audit = self._audit
-        # Check-outs still unreferenced when the epoch ends were useless.
-        audit.useless_checkouts += sum(
-            1 for _, referenced in audit.outstanding.values() if not referenced
-        )
         # Coverage: of every (node, block) acquisition this epoch — demand
         # miss or explicit directive — what share went through a directive?
-        # 0 for an unannotated run, approaching 1 when every acquisition is
-        # annotated (a checked-out block *hits* on the demand access, so
-        # "misses covered by directives" would be the wrong denominator).
+        # (A checked-out block *hits* on the demand access, so "misses
+        # covered by directives" would be the wrong denominator.)
         acquired = len(audit.missed_pairs | audit.covered_pairs)
         covered = len(audit.covered_pairs)
-        self._epoch_rows.append({
-            "epoch": self._epoch,
+        self.epochs.append({
+            "epoch": epoch,
             "label": label,
-            "cycles": max(end_vt - self._prev_vt, 0),
-            "messages": audit.messages,
-            "messages_by_node": sorted(
-                [n, c] for n, c in audit.messages_by_node.items()
-            ),
+            "start_vt": self.start_vt,
+            "end_vt": end_vt,
+            "cycles": max(end_vt - self.start_vt, 0),
+            "barrier_overhead": max(self._resume - self.start_vt, 0),
+            "arrivals": arrivals or {},
+            "messages_by_node": audit.messages_by_node,
             "missed_pairs": len(audit.missed_pairs),
             "directive_pairs": covered,
             "coverage": covered / acquired if acquired else None,
             "checkouts": audit.checkouts,
             "checkins": audit.checkins,
-            "useless_checkouts": audit.useless_checkouts,
+            # check-outs still unreferenced when the epoch ends were useless
+            "useless_checkouts": audit.useless_checkouts
+            + sum(1 for used in audit.outstanding.values() if not used),
             "premature_checkins": audit.premature_checkins,
         })
         self._audit = _EpochAudit()
+        self.epoch = epoch + 1
+        self.start_vt = end_vt
+        if resume is not None:
+            self._resume = resume
 
     def finalize(self, cycles: int | None = None) -> None:
-        """Flush the trailing partial epoch and unconsumed slow-path events."""
+        """Fold unclaimed slow-path events and close the trailing epoch at
+        ``cycles`` from the nodes' completion clocks (idempotent; mirrors
+        ``RunResult.epoch_times``).  Call it before reading a report."""
         if self._finalized:
             return
         self._finalized = True
         for node in list(self._pending):
-            self._fold_pending(node, -1, self._epoch)
-        end = cycles if cycles is not None else self._prev_vt
-        if (
-            end > self._prev_vt
-            or self._audit.messages
-            or self._audit.missed_pairs
-            or not self._epoch_rows
-        ):
-            self._close_epoch(max(end, self._prev_vt), "final")
+            self._fold(node, self.epoch, -1, "unclaimed")
+        end = max(cycles or 0, self.start_vt)
+        audit = self._audit
+        if (end > self.start_vt or sum(audit.messages_by_node.values())
+                or audit.missed_pairs or not self.epochs):
+            arrivals = {
+                node: max(t, self.start_vt)
+                for node, t in self._done.items()
+                if t >= self._resume
+            }
+            self.close_epoch(self.epoch, end, "final", arrivals=arrivals)
 
-    # ------------------------------------------------------------ report
     def _footprint(self, array: str) -> str | None:
         """Symbolize the per-node miss footprint of ``array`` in its hottest
         epoch — the same per-epoch, per-node rectangle matching the
         annotator uses to print symbolic targets (Section 4.3/4.4)."""
-        if self.env is None or array == UNLABELLED:
-            return None
-        label = self._label_cache.get(array)
-        if label is None:
-            label = self.labels.get(array) if array in self.labels else None
-            self._label_cache[array] = label
-        if label is None:
+        if self.env is None or array == UNLABELLED or array not in self.labels:
             return None
         from repro.cachier.mapping import symbolize
 
+        label = self.labels.get(array)
         candidates = sorted(
             (
                 (sum(len(f) for f in per_node.values()), epoch, per_node)
@@ -425,122 +468,100 @@ class AttributionProfiler:
             try:
                 sym = symbolize(label, {n: set(f) for n, f in per_node.items()},
                                 self.env)
-            except Exception:  # scattered / non-rectangular footprints
+            except LabelError:  # scattered / non-rectangular footprints
                 sym = None
             if sym is not None:
                 return target_str(sym.target)
         return None
 
-    def report(self, name: str = "run", mode: str = "run") -> dict:
-        """Freeze the attribution into a JSON-serialisable report."""
-        self.finalize()
-        structures: dict[str, dict] = {}
-        lines: dict[tuple[str, int], dict] = {}
-        per_epoch_struct: dict[int, dict[str, int]] = {}
-        cube: list[list] = []
-        totals = _Cell()
-        for (array, pc, epoch), cell in sorted(self._cells.items()):
-            for slot in _Cell.__slots__:
-                setattr(totals, slot, getattr(totals, slot) + getattr(cell, slot))
-            srow = structures.setdefault(array, _zero_struct_row(array))
-            lrow = lines.setdefault((array, pc), _zero_line_row(array, pc))
-            for row in (srow, lrow):
-                row["misses"] += cell.misses
-                row["read_miss"] += cell.read_miss
-                row["write_miss"] += cell.write_miss
-                row["write_fault"] += cell.write_fault
-                row["stall_cycles"] += cell.stall
-                row["dir_issues"] += cell.dir_issues
-                row["dir_cycles"] += cell.dir_cycles
-                row["traps"] += cell.traps
-                row["trap_copies"] += cell.trap_copies
-                row["recalls"] += cell.recalls
-                row["lock_acquires"] += cell.lock_acquires
-                row["lock_wait_cycles"] += cell.lock_wait
-            if cell.misses or cell.stall:
-                per_epoch_struct.setdefault(epoch, {})
-                per_epoch_struct[epoch][array] = (
-                    per_epoch_struct[epoch].get(array, 0) + cell.misses
-                )
-                cube.append([
-                    array, pc, epoch,
-                    cell.read_miss, cell.write_miss, cell.write_fault,
-                    cell.stall,
-                ])
-        if self.source is not None:
-            for (array, pc), row in lines.items():
-                row["line"] = self.source.line_no(pc)
-                row["source"] = self.source.line_text(pc)
-        for array, row in structures.items():
-            row["footprint"] = self._footprint(array)
-        epochs = []
-        for erow in self._epoch_rows:
-            epoch_misses = per_epoch_struct.get(erow["epoch"], {})
-            epochs.append({
-                **erow,
-                "misses": sum(epoch_misses.values()),
-                "per_structure": dict(sorted(epoch_misses.items())),
-            })
-        audit_totals = {
-            "checkouts": sum(e["checkouts"] for e in epochs),
-            "checkins": sum(e["checkins"] for e in epochs),
-            "useless_checkouts": sum(e["useless_checkouts"] for e in epochs),
-            "premature_checkins": sum(e["premature_checkins"] for e in epochs),
-            "coverage_by_epoch": [e["coverage"] for e in epochs],
-        }
-        return {
-            "version": ATTRIB_VERSION,
-            "name": name,
-            "mode": mode,
-            "block_size": self.block_size,
-            "totals": {
-                "accesses": totals.hits + totals.misses,
-                "hits": totals.hits,
-                "misses": totals.misses,
-                "read_miss": totals.read_miss,
-                "write_miss": totals.write_miss,
-                "write_fault": totals.write_fault,
-                "stall_cycles": totals.stall,
-                "dir_issues": totals.dir_issues,
-                "dir_cycles": totals.dir_cycles,
-                "traps": totals.traps,
-                "trap_copies": totals.trap_copies,
-                "recalls": totals.recalls,
-                "recalls_dirty": totals.recalls_dirty,
-                "lock_acquires": totals.lock_acquires,
-                "lock_wait_cycles": totals.lock_wait,
-                "messages": sum(e["messages"] for e in epochs),
-            },
-            "structures": sorted(
-                structures.values(),
-                key=lambda r: (-r["stall_cycles"], -r["misses"], r["array"]),
-            ),
-            "lines": sorted(
-                (row for row in lines.values() if row["misses"] or
-                 row["stall_cycles"] or row["dir_issues"] or row["lock_acquires"]),
-                key=lambda r: (-r["stall_cycles"], -r["misses"], r["array"], r["pc"]),
-            ),
-            "epochs": epochs,
-            "audit": audit_totals,
-            "cells": cube,
-        }
 
-
-def _zero_struct_row(array: str) -> dict:
+def attribution_report(ledger: StallLedger, name: str = "run",
+                       mode: str = "run") -> dict:
+    """The attribution report of a finalized ledger: its spans summed over
+    nodes and causes into (data structure, source line, epoch) cells of
+    misses, stall cycles, invalidation traffic and trap counts, plus the
+    per-epoch rows and the annotation audit."""
+    cells: dict[tuple[str, int, int], dict] = {}
+    for epoch, spans in ledger.spans.items():
+        for (_node, array, pc, cause), s in spans.items():
+            counts = {f: getattr(s, f) for f in _SPAN_COUNTS}
+            counts[_CYCLES_FIELD.get(cause, "stall_cycles")] = s.cycles
+            if any(counts.values()):  # else a directive that covered no block
+                cell = cells.setdefault((array, pc, epoch),
+                                        dict.fromkeys(_CELL_FIELDS, 0))
+                for key, value in counts.items():
+                    cell[key] += value
+    structures: dict[str, dict] = {}
+    lines: dict[tuple[str, int], dict] = {}
+    per_epoch_struct: dict[int, dict[str, int]] = {}
+    cube: list[list] = []
+    totals = dict.fromkeys(_CELL_FIELDS, 0)
+    zero = dict.fromkeys(_ROW_FIELDS, 0)
+    for (array, pc, epoch), cell in sorted(cells.items()):
+        rows = (
+            structures.setdefault(
+                array, {"array": array, **zero, "footprint": None}),
+            lines.setdefault((array, pc), {
+                "array": array, "pc": pc, "line": None, "source": "", **zero,
+            }),
+        )
+        for key, value in cell.items():
+            totals[key] += value
+            for row in rows:
+                if key in row:
+                    row[key] += value
+        if cell["misses"] or cell["stall_cycles"]:
+            per_epoch = per_epoch_struct.setdefault(epoch, {})
+            per_epoch[array] = per_epoch.get(array, 0) + cell["misses"]
+            cube.append([
+                array, pc, epoch, cell["read_miss"], cell["write_miss"],
+                cell["write_fault"], cell["stall_cycles"],
+            ])
+    if ledger.source is not None:
+        for (array, pc), row in lines.items():
+            row["line"] = ledger.source.line_no(pc)
+            row["source"] = ledger.source.line_text(pc)
+    for array, row in structures.items():
+        row["footprint"] = ledger._footprint(array)
+    epochs = []
+    for rec in ledger.epochs:
+        epoch_misses = per_epoch_struct.get(rec["epoch"], {})
+        by_node = rec["messages_by_node"]
+        epochs.append({
+            "epoch": rec["epoch"],
+            "label": rec["label"],
+            "cycles": rec["cycles"],
+            "messages": sum(by_node.values()),
+            "messages_by_node": sorted([n, c] for n, c in by_node.items()),
+            **{key: rec[key] for key in _AUDIT_KEYS},
+            "misses": sum(epoch_misses.values()),
+            "per_structure": dict(sorted(epoch_misses.items())),
+        })
+    audit = {key: sum(e[key] for e in epochs) for key in _AUDIT_TOTALS}
+    audit["coverage_by_epoch"] = [e["coverage"] for e in epochs]
     return {
-        "array": array, "misses": 0, "read_miss": 0, "write_miss": 0,
-        "write_fault": 0, "stall_cycles": 0, "dir_issues": 0, "dir_cycles": 0,
-        "traps": 0, "trap_copies": 0, "recalls": 0, "lock_acquires": 0,
-        "lock_wait_cycles": 0, "footprint": None,
-    }
-
-
-def _zero_line_row(array: str, pc: int) -> dict:
-    return {
-        "array": array, "pc": pc, "line": None, "source": "", "misses": 0,
-        "read_miss": 0, "write_miss": 0, "write_fault": 0, "stall_cycles": 0,
-        "dir_issues": 0, "dir_cycles": 0, "traps": 0, "trap_copies": 0,
-        "recalls": 0, "lock_acquires": 0, "lock_wait_cycles": 0,
+        "version": ATTRIB_VERSION,
+        "name": name,
+        "mode": mode,
+        "block_size": ledger.block_size,
+        "totals": {
+            "accesses": ledger.hits + totals["misses"],
+            "hits": ledger.hits,
+            **totals,
+            "messages": sum(e["messages"] for e in epochs),
+        },
+        "structures": sorted(
+            structures.values(),
+            key=lambda r: (-r["stall_cycles"], -r["misses"], r["array"]),
+        ),
+        "lines": sorted(
+            (row for row in lines.values() if row["misses"] or
+             row["stall_cycles"] or row["dir_issues"] or row["lock_acquires"]),
+            key=lambda r: (-r["stall_cycles"], -r["misses"], r["array"], r["pc"]),
+        ),
+        "epochs": epochs,
+        "audit": audit,
+        "cells": cube,
     }
 
 
@@ -550,13 +571,14 @@ def profile_trace(
 ) -> dict:
     """Attribute a stored :class:`~repro.trace.records.Trace` offline.
 
-    Uses the trace's own labelled-region table — the very join the annotator
+    Feeds the trace's misses and barriers to a :class:`StallLedger` over
+    the trace's own labelled-region table — the very join the annotator
     performs — so a ``cachier-annotate --trace-out`` artefact can be
     profiled without re-running the program.  Traces carry no latencies or
-    traffic, so the report has miss counts only.  ``env`` is an optional
-    :class:`~repro.cachier.mapping.ParamEnv` for footprint symbolization.
+    traffic, so the report has miss counts only.  ``env`` is as for
+    :class:`StallLedger`.
     """
-    profiler = AttributionProfiler(
+    ledger = StallLedger(
         labels=trace.label_table(),
         block_size=trace.block_size,
         source=SourceMap(program) if program is not None else None,
@@ -564,35 +586,20 @@ def profile_trace(
     )
     shift = trace.block_size.bit_length() - 1
     for rec in sorted(trace.misses, key=lambda r: (r.epoch, r.node, r.addr)):
-        label = profiler.labels.find(rec.addr)
-        array = label.name if label is not None else UNLABELLED
-        cell = profiler._cell(array, rec.pc, rec.epoch)
-        fieldname = {
-            "read_miss": "read_miss",
-            "write_miss": "write_miss",
-            "write_fault": "write_fault",
-        }[rec.kind.value]
-        setattr(cell, fieldname, getattr(cell, fieldname) + 1)
-        if label is not None:
-            profiler._foot.setdefault((array, rec.epoch), {}).setdefault(
-                rec.node, set()
-            ).update(profiler._block_flats(label, rec.addr >> shift))
+        ledger.charge_miss(rec.node, rec.epoch, rec.addr >> shift, rec.pc,
+                           rec.kind.value)
     seen: set[int] = set()
     for rec in sorted(trace.barriers, key=lambda r: (r.vt, r.epoch)):
         if rec.epoch in seen:
             continue
         seen.add(rec.epoch)
-        profiler._epoch = rec.epoch
         label = ""
-        if profiler.source is not None:
-            label = profiler.source.epoch_label(rec.barrier_pc)
-        profiler._close_epoch(rec.vt, label)
-        profiler._prev_vt = rec.vt
-        profiler._epoch = rec.epoch + 1
+        if ledger.source is not None:
+            label = ledger.source.epoch_label(rec.barrier_pc)
+        ledger.close_epoch(rec.epoch, rec.vt, label)
     if trace.num_epochs() > len(seen):
-        profiler._close_epoch(profiler._prev_vt, "final")
-    profiler._finalized = True
-    return profiler.report(name=name, mode="trace")
+        ledger.close_epoch(ledger.epoch, ledger.start_vt, "final")
+    return attribution_report(ledger, name=name, mode="trace")
 
 
 # -------------------------------------------------------------- rendering
@@ -625,12 +632,9 @@ def render_heatmap(report: dict, top: int = 10) -> str:
             for v in row
         )
         lines.append(f"{array.ljust(width)}  {shades}")
-    labels = [e["label"] for e in epochs if e["label"]]
+    labels = ", ".join(f"{e['epoch']}={e['label']}" for e in epochs if e["label"])
     if labels:
-        lines.append(
-            "epoch labels: "
-            + ", ".join(f"{e['epoch']}={e['label']}" for e in epochs if e["label"])
-        )
+        lines.append("epoch labels: " + labels)
     return "\n".join(lines) + "\n"
 
 
@@ -725,9 +729,13 @@ def render_profile(report: dict, top: int = 10) -> str:
 
 __all__ = [
     "ATTRIB_VERSION",
+    "DIRECTIVE",
+    "LOCK",
     "UNLABELLED",
-    "AttributionProfiler",
     "SourceMap",
+    "Span",
+    "StallLedger",
+    "attribution_report",
     "folded_stacks",
     "profile_trace",
     "render_heatmap",

@@ -5,7 +5,7 @@ attribution over a fixed workload suite; this module freezes those numbers
 so the simulator can be grown without silently regressing them.
 
 * :func:`bench_workload` runs the requested variants of one Figure-6
-  workload under the attribution profiler and distils each run into a
+  workload with attribution and critical path and distils each run into a
   *bench record*: cycles, miss counts, traffic, traps/recalls, and an
   attribution digest (per-structure misses + stall cycles).
 * :func:`write_bench` / :func:`read_bench` store one ``BENCH_<workload>.json``

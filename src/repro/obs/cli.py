@@ -14,10 +14,10 @@ Subcommands::
 layer attached and prints the per-epoch activity table; ``summarize``
 re-renders that table from a previously written JSONL manifest.
 
-``profile`` runs a variant under the source-level attribution profiler and
-prints hot structures / hot source lines / the per-epoch annotation audit
-(``--json`` for the raw report, ``--folded`` for flamegraph folded stacks).
-``critpath`` runs a variant under the critical-path analyzer and prints the
+``profile`` runs a variant with source-level attribution and prints hot
+structures / hot source lines / the per-epoch annotation audit (``--json``
+for the raw report, ``--folded`` for flamegraph folded stacks).
+``critpath`` runs a variant with critical-path analysis and prints the
 per-epoch straggler table plus the what-if ranking of candidate CICO sites
 by estimated epoch-time savings (``--json`` for the raw report).
 ``bench`` freezes per-workload perf baselines into ``BENCH_<w>.json`` files
@@ -98,7 +98,7 @@ def render_observation(obs: Observation) -> str:
 # ---------------------------------------------------------------- commands
 def _resolve_variant(workload: str, variant: str, policy: str):
     """Build (spec, program) for one workload variant, annotating when the
-    variant needs it.  Shared by ``run`` and ``profile``."""
+    variant needs it.  Shared by ``run``, ``profile`` and ``critpath``."""
     from repro.cachier.annotator import Policy
     from repro.harness.variants import PLAIN, build_variants
     from repro.workloads.base import get_workload
@@ -117,6 +117,20 @@ def _resolve_variant(workload: str, variant: str, policy: str):
             f"(available: {sorted(variants.programs)})"
         )
     return spec, variants.programs[variant]
+
+
+def _observed_variant(args, **flags) -> Observation:
+    """Run ``args``' workload variant under ``Observer(**flags)``."""
+    from repro.harness.runner import run_program
+
+    spec, program = _resolve_variant(args.workload, args.variant, args.policy)
+    observer = Observer(
+        meta={"name": f"{spec.name}/{args.variant}",
+              "workload": args.workload, "variant": args.variant},
+        **flags,
+    )
+    run_program(program, spec.config, spec.params_fn, observer=observer)
+    return observer.observation
 
 
 def _cmd_run(args) -> int:
@@ -202,20 +216,7 @@ def _cmd_profile(args) -> int:
             name=f"{spec.name}/trace",
         )
     else:
-        from repro.harness.runner import run_program
-
-        spec, program = _resolve_variant(
-            args.workload, args.variant, args.policy
-        )
-        observer = Observer(
-            profile=True,
-            meta={"name": f"{spec.name}/{args.variant}",
-                  "workload": args.workload, "variant": args.variant},
-        )
-        run_program(program, spec.config, spec.params_fn, observer=observer)
-        obs = observer.observation
-        assert obs is not None and obs.attrib is not None
-        report = obs.attrib
+        report = _observed_variant(args, profile=True).attrib
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
     elif args.folded:
@@ -228,18 +229,9 @@ def _cmd_profile(args) -> int:
 def _cmd_critpath(args) -> int:
     import json as _json
 
-    from repro.harness.runner import run_program
     from repro.obs.critpath import render_critpath
 
-    spec, program = _resolve_variant(args.workload, args.variant, args.policy)
-    observer = Observer(
-        chrome=bool(args.trace_out), critpath=True,
-        meta={"name": f"{spec.name}/{args.variant}",
-              "workload": args.workload, "variant": args.variant},
-    )
-    run_program(program, spec.config, spec.params_fn, observer=observer)
-    obs = observer.observation
-    assert obs is not None and obs.critpath is not None
+    obs = _observed_variant(args, chrome=bool(args.trace_out), critpath=True)
     if args.json:
         print(_json.dumps(obs.critpath, indent=2, sort_keys=True))
     else:
@@ -337,21 +329,25 @@ def _cmd_diff(args) -> int:
     return 0
 
 
+def _add_variant_args(parser) -> None:
+    parser.add_argument("--workload", default="matmul")
+    parser.add_argument(
+        "--variant", default="plain",
+        choices=["plain", "hand", "hand+pf", "cachier", "cachier+pf"],
+    )
+    parser.add_argument(
+        "--policy", default="performance",
+        choices=["performance", "programmer"],
+    )
+
+
 def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro-obs", description=__doc__)
     add_version(parser, "repro-obs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one workload variant observed")
-    run_p.add_argument("--workload", default="matmul")
-    run_p.add_argument(
-        "--variant", default="plain",
-        choices=["plain", "hand", "hand+pf", "cachier", "cachier+pf"],
-    )
-    run_p.add_argument(
-        "--policy", default="performance",
-        choices=["performance", "programmer"],
-    )
+    _add_variant_args(run_p)
     run_p.add_argument("--trace-out", metavar="PATH",
                        help="write Chrome trace-event JSON")
     run_p.add_argument("--manifest-out", metavar="PATH",
@@ -376,15 +372,7 @@ def _main(argv=None) -> int:
         "profile",
         help="source-level attribution profile of one workload variant",
     )
-    prof_p.add_argument("--workload", default="matmul")
-    prof_p.add_argument(
-        "--variant", default="plain",
-        choices=["plain", "hand", "hand+pf", "cachier", "cachier+pf"],
-    )
-    prof_p.add_argument(
-        "--policy", default="performance",
-        choices=["performance", "programmer"],
-    )
+    _add_variant_args(prof_p)
     prof_p.add_argument("--top", type=int, default=10,
                         help="rows in the hot-structure/hot-line tables")
     prof_p.add_argument("--json", action="store_true",
@@ -402,15 +390,7 @@ def _main(argv=None) -> int:
         help="per-epoch critical-path / straggler analysis with a what-if "
              "ranking of candidate CICO sites",
     )
-    crit_p.add_argument("--workload", default="matmul")
-    crit_p.add_argument(
-        "--variant", default="plain",
-        choices=["plain", "hand", "hand+pf", "cachier", "cachier+pf"],
-    )
-    crit_p.add_argument(
-        "--policy", default="performance",
-        choices=["performance", "programmer"],
-    )
+    _add_variant_args(crit_p)
     crit_p.add_argument("--top", type=int, default=10,
                         help="rows in the what-if ranking table")
     crit_p.add_argument("--json", action="store_true",

@@ -37,9 +37,8 @@ The :class:`TrapEvent`\\ s, :class:`RecallEvent`\\ s and
 the transaction's outcome carries it on ``AccessResult.txn``, so the whole
 causal chain (miss -> Dir1SW trap -> recall -> network messages ->
 completion) is joinable after the fact.  ``txn == -1`` means "not part of
-a slow-path transaction" (hits, flushes).  The critical-path layer
-(:mod:`repro.obs.critpath`) and the Perfetto flow arrows of the Chrome
-exporter are built on this join.
+a slow-path transaction" (hits, flushes).  The Perfetto flow arrows of the
+Chrome exporter are built on this join.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ class DirectiveEvent(NamedTuple):
 
     ``blockset`` carries the distinct block numbers the directive covered
     (sorted); ``blocks`` is kept as the count for cheap consumers.  The
-    attribution profiler needs the identities to audit annotation
-    effectiveness (was a checked-out block ever re-referenced?).
+    stall ledger needs the identities to audit annotation effectiveness
+    (was a checked-out block ever re-referenced?).
     """
 
     node: int

@@ -110,14 +110,16 @@ class Observer:
         Free-form run description copied into the Observation and exported
         manifests (workload name, variant, config, ...).
     profile:
-        Attach a source-level :class:`~repro.obs.attrib.AttributionProfiler`
-        when the run is bound (the harness calls :meth:`bind_run` with the
-        program and labelled-region table); the report lands on
-        ``Observation.attrib``.
+        Report source-level attribution on ``Observation.attrib``.
     critpath:
-        Attach a :class:`~repro.obs.critpath.CriticalPathAnalyzer` when the
-        run is bound; the per-epoch straggler / what-if report lands on
+        Report the per-epoch straggler / what-if analysis on
         ``Observation.critpath``.
+
+    Either flag attaches one :class:`~repro.obs.attrib.StallLedger` when
+    the run is bound (the harness calls :meth:`bind_run` with the program
+    and labelled-region table); both reports read it.  It reads every
+    access only for ``profile``, whose hit total and check-out audit need
+    hits; otherwise it reads only misses.
     """
 
     def __init__(
@@ -144,8 +146,7 @@ class Observer:
         self._chrome = chrome
         self._profile = profile
         self._critpath = critpath
-        self.profiler = None  # AttributionProfiler, set by bind_run
-        self.critpath_analyzer = None  # CriticalPathAnalyzer, set by bind_run
+        self.ledger = None  # StallLedger, set by bind_run
         self._tokens: list[int] = []
         # chrome-mode flow bookkeeping: slow-path events by requesting node,
         # consumed by the enclosing access/directive span (the protocol
@@ -392,37 +393,26 @@ class Observer:
         """Give the observer the run's static context (called by the harness
         entry points before the machine starts).
 
-        When the observer was created with ``profile=True`` this attaches an
-        :class:`~repro.obs.attrib.AttributionProfiler` joining the event
-        stream with the labelled-region table, the program's line table and
-        — when the parameter environment is available — the symbolic
-        footprint matcher of :mod:`repro.cachier.mapping`.
+        With ``profile`` or ``critpath`` this attaches the
+        :class:`~repro.obs.attrib.StallLedger` joining the event stream with
+        the labelled-region table, the program's line table and — for
+        ``profile``, when the parameter environment is available — the
+        symbolic footprint matcher of :mod:`repro.cachier.mapping`.
         """
-        if not (self._profile or self._critpath):
+        if not (self._profile or self._critpath) or self.ledger is not None:
             return
-        from repro.obs.attrib import AttributionProfiler, SourceMap
+        from repro.obs.attrib import SourceMap, StallLedger
 
-        source = SourceMap(program)
-        if self._profile and self.profiler is None:
-            env = None
-            if params_fn is not None and num_nodes > 0:
-                from repro.cachier.mapping import ParamEnv
+        env = None
+        if self._profile and params_fn is not None and num_nodes > 0:
+            from repro.cachier.mapping import ParamEnv
 
-                env = ParamEnv(params_fn, num_nodes)
-            self.profiler = AttributionProfiler(
-                labels=labels,
-                block_size=block_size,
-                source=source,
-                env=env,
-            )
-            self._tokens += self.profiler.attach(self.bus)
-        if self._critpath and self.critpath_analyzer is None:
-            from repro.obs.critpath import CriticalPathAnalyzer
-
-            self.critpath_analyzer = CriticalPathAnalyzer(
-                labels=labels, block_size=block_size, source=source
-            )
-            self._tokens += self.critpath_analyzer.attach(self.bus)
+            env = ParamEnv(params_fn, num_nodes)
+        self.ledger = StallLedger(
+            labels=labels, block_size=block_size, source=SourceMap(program),
+            env=env,
+        )
+        self._tokens += self.ledger.attach(self.bus, hits=self._profile)
 
     def detach(self) -> None:
         """Drop every subscription this observer holds on the bus."""
@@ -433,16 +423,17 @@ class Observer:
     def finalize(self, result) -> Observation:
         """Freeze the observation and attach it to ``result.obs``."""
         self.timeline.finalize(result.cycles)
-        attrib = None
-        if self.profiler is not None:
-            self.profiler.finalize(result.cycles)
-            attrib = self.profiler.report(name=self.meta.get("name", "run"))
-        critpath = None
-        if self.critpath_analyzer is not None:
-            self.critpath_analyzer.finalize(result.cycles)
-            critpath = self.critpath_analyzer.report(
-                name=self.meta.get("name", "run")
-            )
+        attrib = critpath = None
+        if self.ledger is not None:
+            from repro.obs.attrib import attribution_report
+            from repro.obs.critpath import critpath_report
+
+            self.ledger.finalize(result.cycles)
+            name = self.meta.get("name", "run")
+            if self._profile:
+                attrib = attribution_report(self.ledger, name=name)
+            if self._critpath:
+                critpath = critpath_report(self.ledger, name=name)
         obs = Observation(
             metrics=self.registry.snapshot(),
             timeline=list(self.timeline.samples),

@@ -106,6 +106,7 @@ def _serve(argv: Sequence[str] | None) -> int:
         log.info("daemon shutting down")
     finally:
         server.shutdown()
+        server.server_close()
         queue.stop()
         if queue.telemetry.enabled:
             trace_path = Path(args.trace_out or

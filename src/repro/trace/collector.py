@@ -34,8 +34,8 @@ class TraceCollector:
     @property
     def labels(self) -> LabelTable | None:
         """The labelled-region table addresses are joined against — the same
-        table an attribution profiler on this bus should be given, so the
-        two agree on structure names."""
+        table a stall ledger on this bus should be given, so the two agree
+        on structure names."""
         return self._labels
 
     # --------------------------------------------------------------- bus API

@@ -1,4 +1,4 @@
-"""Source-level attribution profiler: conservation and audit.
+"""Source-level attribution report: conservation and audit.
 
 The load-bearing property is *conservation*: every miss, stall cycle, trap,
 recall and message the bus-level metrics count must land in exactly one

@@ -19,9 +19,10 @@ from repro.harness.runner import run_program
 from repro.machine.config import MachineConfig
 from repro.machine.events import EV_BARRIER, EV_REF
 from repro.machine.machine import Machine
+from repro.obs.attrib import StallLedger
 from repro.obs.critpath import (
     COHERENCE_CAUSES,
-    CriticalPathAnalyzer,
+    critpath_report,
     miss_ranking,
     render_critpath,
     what_if_ranking,
@@ -151,14 +152,14 @@ class TestSyntheticSlack:
             yield (EV_REF, 10, -1, False, -1)
 
         bus = EventBus()
-        analyzer = CriticalPathAnalyzer()
-        analyzer.attach(bus)
+        ledger = StallLedger()
+        ledger.attach(bus, hits=False)
         config = MachineConfig(
             num_nodes=2, cache_size=4096, block_size=32, assoc=2
         )
         result = Machine(config, bus=bus).run(kernel)
-        analyzer.finalize(result.cycles)
-        return result, analyzer.report(name="synthetic")
+        ledger.finalize(result.cycles)
+        return result, critpath_report(ledger, name="synthetic")
 
     def test_straggler_and_slack(self):
         result, report = self._run()

@@ -1,10 +1,11 @@
 """The MISS topic: a copy of every ACCESS event whose outcome is not a hit.
 
-Consumers that read only misses (the trace collector, the critical-path
-analyzer) subscribe to MISS and are never called for a hit.  These tests
-pin the contract on an observed, verified run of a prefetching variant,
-whose accesses include every outcome: plain and prefetched hits, read and
-write misses, and write faults.
+Consumers that read only misses (the trace collector, and the stall
+ledger when only the critical path is asked for) subscribe to MISS and are
+never called for a hit.  These tests pin the contract on an observed,
+verified run of a prefetching variant, whose accesses include every
+outcome: plain and prefetched hits, read and write misses, and write
+faults.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def _observed_verified_run(prefetching, **observer_flags) -> list:
 
 
 def test_miss_carries_every_non_hit_access_in_order(prefetching):
-    published = _observed_verified_run(prefetching, profile=True,
-                                       critpath=True)
+    published = _observed_verified_run(prefetching, critpath=True)
     accesses = [ev for ev in published if ev.kind is EventKind.ACCESS]
     misses = [ev for ev in published if ev.kind is EventKind.MISS]
     details = {(ev.result.kind, ev.result.detail) for ev in accesses}
@@ -84,8 +84,8 @@ def test_miss_carries_every_non_hit_access_in_order(prefetching):
 
 
 def test_no_miss_subscriber_publishes_no_miss(prefetching):
-    # the Observer's metrics and attribution profiler and the invariant
-    # checker all read ACCESS; none of them subscribes to MISS
+    # the Observer's metrics, the stall ledger of a profiling observer and
+    # the invariant checker all read ACCESS; none of them subscribes to MISS
     published = _observed_verified_run(prefetching, profile=True)
     kinds = {ev.kind for ev in published}
     assert EventKind.ACCESS in kinds

@@ -162,6 +162,26 @@ def test_fixture_covers_every_case(cases):
     assert sorted(_fixture()) == sorted(cases) == CASE_IDS
 
 
+def test_two_array_directive_charges_each_array_its_own_traps():
+    """Both reports charge each trap to its own block's array, and the
+    directive's issue cycles to its first block's array."""
+    program, config = two_arrays_program()
+    observer = Observer(profile=True, critpath=True)
+    run_program(program, config, observer=observer)
+    obs = observer.observation
+    by_array = {r["array"]: r for r in obs.attrib["structures"]}
+    assert by_array["A"]["traps"] == by_array["B"]["traps"] == 4
+    cycles = by_array["A"]["dir_cycles"]
+    assert cycles > 0 == by_array["B"]["dir_cycles"]
+    checkout = obs.critpath["epochs"][1]
+    assert checkout["critical_node"] == 0
+    # (array, cause) -> [cycles, count, traps, recalls]
+    sites = {(s[0], s[2]): s[3:] for s in checkout["sites"]}
+    assert sites == {("A", "directive"): [cycles, 1, 4, 0],
+                     ("B", "directive"): [0, 0, 4, 0]}
+    assert checkout["stall_cycles"] == cycles
+
+
 def main(argv: list[str]) -> int:
     if "--record" not in argv:
         print(__doc__)

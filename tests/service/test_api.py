@@ -28,7 +28,14 @@ def live(tmp_path):
     finally:
         client.close()
         server.shutdown()
+        server.server_close()
         queue.stop()
+
+
+def fetch(url: str) -> bytes:
+    """GET ``url`` and close the response."""
+    with urllib.request.urlopen(url) as resp:
+        return resp.read()
 
 
 def test_full_round_trip(live):
@@ -61,11 +68,11 @@ def test_full_round_trip(live):
 
     # live dashboards render
     for path in ("/", "/index.html", f"/jobs/{payload['id']}.html"):
-        html = urllib.request.urlopen(base + path).read().decode()
+        html = fetch(base + path).decode()
         assert "<html" in html
 
     # healthz is plain text
-    assert urllib.request.urlopen(base + "/healthz").read() == b"ok\n"
+    assert fetch(base + "/healthz") == b"ok\n"
 
 
 def test_dashboard_links_resolve(live):
@@ -80,7 +87,7 @@ def test_dashboard_links_resolve(live):
     checked = set()
     for page in ("/", "/ops.html", f"/jobs/{payload['id']}.html"):
         url = base + page
-        text = urllib.request.urlopen(url).read().decode()
+        text = fetch(url).decode()
         for href in re.findall(r'href="([^"]*)"', text):
             target, _ = urllib.parse.urldefrag(
                 urllib.parse.urljoin(url, html.unescape(href))
@@ -95,8 +102,9 @@ def test_dashboard_links_resolve(live):
     assert any("/artifacts/" in url for url in checked)
 
     with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(base + "/perf.html")
-    assert err.value.code == 404
+        fetch(base + "/perf.html")
+    with err.value:
+        assert err.value.code == 404
 
 
 def test_error_statuses(live):
@@ -120,9 +128,10 @@ def test_error_statuses(live):
     req = urllib.request.Request(base + "/api/jobs", data=b"not json{",
                                  headers={"Content-Type": "application/json"})
     with pytest.raises(urllib.error.HTTPError) as exc:
-        urllib.request.urlopen(req)
-    assert exc.value.code == 400
-    assert "not JSON" in json.loads(exc.value.read())["error"]
+        urllib.request.urlopen(req).close()
+    with exc.value:
+        assert exc.value.code == 400
+        assert "not JSON" in json.loads(exc.value.read())["error"]
 
 
 def test_unreachable_daemon_is_a_service_error(tmp_path):

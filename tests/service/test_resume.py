@@ -35,12 +35,12 @@ def _digests(artifacts_root: Path) -> dict[str, str]:
 def _start_daemon(data_dir: Path, log_path: Path) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(log_path, "ab")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.service.cli", "serve",
-         "--data-dir", str(data_dir), "--port", "0"],
-        env=env, stdout=log, stderr=log,
-    )
+    with open(log_path, "ab") as log:  # the daemon keeps its own copy
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.service.cli", "serve",
+             "--data-dir", str(data_dir), "--port", "0"],
+            env=env, stdout=log, stderr=log,
+        )
 
 
 def _client_for(data_dir: Path, proc: subprocess.Popen,
@@ -57,6 +57,7 @@ def _client_for(data_dir: Path, proc: subprocess.Popen,
                 client = ServiceClient(info["url"], timeout=5)
                 if client.healthy():
                     return client
+                client.close()
         except (FileNotFoundError, json.JSONDecodeError, KeyError):
             pass
         time.sleep(0.05)
@@ -83,6 +84,7 @@ def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path):
     try:
         client = _client_for(victim_dir, proc)
         payload = client.submit("figure6", SPEC)
+        client.close()
         assert payload["disposition"] == "new"
         job_id, key = payload["id"], payload["key"]
 
@@ -119,6 +121,7 @@ def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path):
             assert final_ledger[run] == cycles
         # resubmission after recovery is a cache hit
         assert client.submit("figure6", SPEC)["cached"] is True
+        client.close()
     finally:
         proc.send_signal(signal.SIGTERM)
         try:

@@ -44,7 +44,14 @@ def live(tmp_path):
     finally:
         client.close()
         server.shutdown()
+        server.server_close()
         queue.stop()
+
+
+def fetch(url: str) -> bytes:
+    """GET ``url`` and close the response."""
+    with urllib.request.urlopen(url) as resp:
+        return resp.read()
 
 
 def run_one_job_plus_cache_hit(client) -> dict:
@@ -69,10 +76,10 @@ def test_metrics_page_is_valid_exposition(live):
     client, _queue, base = live
     run_one_job_plus_cache_hit(client)
 
-    resp = urllib.request.urlopen(base + "/metrics")
-    assert resp.headers["Content-Type"] == \
-        "text/plain; version=0.0.4; charset=utf-8"
-    text = resp.read().decode("utf-8")
+    with urllib.request.urlopen(base + "/metrics") as resp:
+        assert resp.headers["Content-Type"] == \
+            "text/plain; version=0.0.4; charset=utf-8"
+        text = resp.read().decode("utf-8")
     assert text.endswith("\n")
     for line in text.splitlines():
         pattern = META_RE if line.startswith("#") else SAMPLE_RE
@@ -96,7 +103,7 @@ def test_histogram_buckets_are_cumulative_and_close_at_inf(live):
     client.status()  # a couple more HTTP observations
     client.jobs()
 
-    text = urllib.request.urlopen(base + "/metrics").read().decode()
+    text = fetch(base + "/metrics").decode()
     buckets: dict[tuple[str, str], list[tuple[float, float]]] = {}
     counts: dict[str, float] = {}
     for name, value in parse_samples(text).items():
@@ -129,7 +136,7 @@ def test_counters_reconcile_with_the_ledger(live):
     client.submit("annotate", p2)
 
     samples = parse_samples(
-        urllib.request.urlopen(base + "/metrics").read().decode()
+        fetch(base + "/metrics").decode()
     )
 
     def counter(family: str, **labels) -> float:
@@ -209,14 +216,14 @@ def test_ops_page_and_top_snapshot(live):
     client, _queue, base = live
     run_one_job_plus_cache_hit(client)
 
-    html = urllib.request.urlopen(base + "/ops.html").read().decode()
+    html = fetch(base + "/ops.html").decode()
     assert "operational telemetry" in html
     assert "job execution latency" in html
     assert "annotate" in html
     # counter names render HTML-escaped (quotes become &quot;)
     assert "service.submissions{disposition=&quot;cached&quot;}" in html
 
-    index = urllib.request.urlopen(base + "/").read().decode()
+    index = fetch(base + "/").decode()
     assert "/ops.html" in index
 
     top = _render_top(client.status(), client.metrics())
@@ -287,7 +294,7 @@ def test_disabled_telemetry_serves_but_collects_nothing(tmp_path):
     client = ServiceClient(base)
     try:
         run_one_job_plus_cache_hit(client)
-        text = urllib.request.urlopen(base + "/metrics").read().decode()
+        text = fetch(base + "/metrics").decode()
         assert "repro_service_telemetry_enabled 0" in text
         assert "submissions" not in text
         snap = client.metrics()
@@ -297,11 +304,12 @@ def test_disabled_telemetry_serves_but_collects_nothing(tmp_path):
         ]  # process metadata only, no spans
         assert "(telemetry disabled" in _render_top(client.status(),
                                                     snap)
-        html = urllib.request.urlopen(base + "/ops.html").read().decode()
+        html = fetch(base + "/ops.html").decode()
         assert "Telemetry is disabled" in html
     finally:
         client.close()
         server.shutdown()
+        server.server_close()
         queue.stop()
 
 
