@@ -38,6 +38,7 @@ attribution for the slow paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.coherence.protocol import AccessKind
@@ -297,7 +298,8 @@ class StallLedger:
     def charge_miss(self, node: int, epoch: int, block: int, pc: int,
                     kind: str, cycles: int = 0, detail: str = "") -> None:
         """One miss of ``kind`` (an :class:`AccessKind` value) on ``block``,
-        spanned under its ``detail`` (or its kind when it has none)."""
+        spanned under its ``detail`` (or its kind when it has none) and
+        entered in the open epoch's audit."""
         label, array = self._blocks.get(block) or self._block_label(block)
         span = self._span(epoch, node, array, pc, detail or kind)
         span.cycles += cycles
@@ -307,6 +309,14 @@ class StallLedger:
             self._foot.setdefault((array, epoch), {}).setdefault(
                 node, set()
             ).update(self._block_flats(label, block))
+        pair = (node, block)
+        audit = self._audit
+        if pair in audit.outstanding:
+            audit.outstanding[pair] = True
+        audit.missed_pairs.add(pair)
+        if pair in audit.checked_in:
+            audit.checked_in.remove(pair)
+            audit.premature_checkins += 1
 
     # ---------------------------------------------------------- handlers
     def _on_access(self, ev: AccessEvent) -> None:
@@ -323,21 +333,12 @@ class StallLedger:
 
     def _on_miss(self, ev: AccessEvent) -> None:
         node, epoch, addr, pc, _write, _t, result = ev
-        block = addr >> self._shift
-        pair = (node, block)
-        audit = self._audit
-        if pair in audit.outstanding:
-            audit.outstanding[pair] = True
         kind = result.kind.value
-        self.charge_miss(node, epoch, block, pc, kind, result.cycles,
-                         result.detail)
+        self.charge_miss(node, epoch, addr >> self._shift, pc, kind,
+                         result.cycles, result.detail)
         # only a miss's slow path publishes traps and recalls
         if self._pending:
             self._fold(node, epoch, pc, result.detail or kind)
-        audit.missed_pairs.add(pair)
-        if pair in audit.checked_in:
-            audit.checked_in.remove(pair)
-            audit.premature_checkins += 1
 
     def _on_directive(self, ev: DirectiveEvent) -> None:
         node, epoch, pc, blockset = ev.node, ev.epoch, ev.pc, ev.blockset
@@ -585,9 +586,19 @@ def profile_trace(
         env=env,
     )
     shift = trace.block_size.bit_length() - 1
-    for rec in sorted(trace.misses, key=lambda r: (r.epoch, r.node, r.addr)):
-        ledger.charge_miss(rec.node, rec.epoch, rec.addr >> shift, rec.pc,
-                           rec.kind.value)
+    misses = sorted(trace.misses, key=lambda r: (r.epoch, r.node, r.addr))
+    charged = 0
+
+    def charge_through(epoch: float) -> None:
+        """Charge the misses up to ``epoch`` while it is the open one, so
+        each lands in its own epoch's audit."""
+        nonlocal charged
+        while charged < len(misses) and misses[charged].epoch <= epoch:
+            rec = misses[charged]
+            ledger.charge_miss(rec.node, rec.epoch, rec.addr >> shift,
+                               rec.pc, rec.kind.value)
+            charged += 1
+
     seen: set[int] = set()
     for rec in sorted(trace.barriers, key=lambda r: (r.vt, r.epoch)):
         if rec.epoch in seen:
@@ -596,7 +607,9 @@ def profile_trace(
         label = ""
         if ledger.source is not None:
             label = ledger.source.epoch_label(rec.barrier_pc)
+        charge_through(rec.epoch)
         ledger.close_epoch(rec.epoch, rec.vt, label)
+    charge_through(math.inf)
     if trace.num_epochs() > len(seen):
         ledger.close_epoch(ledger.epoch, ledger.start_vt, "final")
     return attribution_report(ledger, name=name, mode="trace")

@@ -174,6 +174,23 @@ class TestOfflineTraceProfile:
         labels = [e["label"] for e in report["epochs"]]
         assert any(labels)
 
+    def test_trace_misses_enter_their_epochs_audit(self):
+        """Each epoch's audit counts the distinct (node, block) pairs its
+        trace misses acquired, as the live join does."""
+        spec = get_workload("mp3d")
+        trace = trace_program(spec.program, spec.config, spec.params_fn)
+        report = profile_trace(trace, program=spec.program)
+        shift = trace.block_size.bit_length() - 1
+        pairs: dict[int, set] = {}
+        for rec in trace.misses:
+            pairs.setdefault(rec.epoch, set()).add((rec.node, rec.addr >> shift))
+        assert [e["missed_pairs"] for e in report["epochs"]] == [
+            len(pairs.get(e["epoch"], ())) for e in report["epochs"]
+        ]
+        assert report["epochs"][0]["missed_pairs"] > 0
+        assert all(e["coverage"] == 0.0 for e in report["epochs"]
+                   if e["missed_pairs"])
+
 
 class TestObservedRunStaysIdentical:
     def test_profiling_does_not_perturb_cycles(self):
