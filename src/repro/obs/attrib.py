@@ -692,7 +692,7 @@ def render_profile(report: dict, top: int = 10) -> str:
         for r in report["structures"][:top]
     ]
     lines.append(render_table(
-        ["array", "misses", "stall_cyc", "traps", "recalls", "directives",
+        ["array", "misses", "stall_cyc", "traps", "recalls", "dir_blocks",
          "lock_wait", "miss footprint"],
         struct_rows,
         title=f"hot structures (top {min(top, len(report['structures']))})",
