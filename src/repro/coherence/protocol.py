@@ -76,6 +76,10 @@ class ProtocolStats:
     hw_invalidations: int = 0
     bcast_invalidations: int = 0  # individual copies killed by traps
     prefetch_dropped: int = 0
+    #: demand hits on a prefetched line, which ``CacheStats.hits`` leaves
+    #: out (``prefetch_useful`` also counts a write fault that consumed a
+    #: prefetch, so it cannot stand in)
+    prefetch_hits: int = 0
 
 
 @dataclass(slots=True)
@@ -168,6 +172,12 @@ class Dir1SWProtocol:
         for stats in self.stats:
             out.merge(stats)
         return out
+
+    def hits(self) -> int:
+        """Every access that hit so far, prefetched hits included: the
+        count of HIT outcomes the machine has published on ACCESS."""
+        return (sum(stats.hits for stats in self.stats)
+                + self.proto_stats.prefetch_hits)
 
     def _evict(self, node: int, victim: CacheLine) -> None:
         """Directory bookkeeping for a replaced line (off the critical path)."""
@@ -344,6 +354,7 @@ class Dir1SWProtocol:
                 wait = self._pending_wait(node, block, now)
                 if wait is not None:
                     self.stats[node].stall_cycles += wait
+                    self.proto_stats.prefetch_hits += 1
                     return AccessResult(
                         self.cost.hit_cycles + wait, AccessKind.HIT,
                         "prefetched",
@@ -368,6 +379,7 @@ class Dir1SWProtocol:
                 wait = self._pending_wait(node, block, now)
                 if wait is not None:
                     self.stats[node].stall_cycles += wait
+                    self.proto_stats.prefetch_hits += 1
                     return AccessResult(
                         self.cost.hit_cycles + wait, AccessKind.HIT,
                         "prefetched",

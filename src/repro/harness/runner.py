@@ -63,6 +63,7 @@ def _run_machine(
     store: SharedStore,
     kernel_factory,
     *,
+    observer: Observer | None,
     verify: bool,
     strict_verify: bool,
     verify_label: str,
@@ -96,6 +97,8 @@ def _run_machine(
                     store.restore_values(values)
                     if checker is not None:
                         checker.resume(snap)
+                    if observer is not None:
+                        observer.resume()
 
         def checkpoint_cb(snap, ckpt=ckpt, store=store):
             snap["store"] = store.snapshot_values()
@@ -143,18 +146,19 @@ def trace_program(
     )
     bus = observer.bus if observer is not None else EventBus()
     collector.subscribe(bus)
-    if observer is not None:
-        observer.bind_run(
-            program, store.labels, block_size=config.block_size,
-            params_fn=params_fn, num_nodes=config.num_nodes,
-        )
-    interp = Interpreter(program, store, params_fn=params_fn)
     machine = Machine(
         config, bus=bus, flush_at_barrier=True,
         faults=make_injector(faults_seed),
     )
+    if observer is not None:
+        observer.bind_run(
+            program, store.labels, block_size=config.block_size,
+            params_fn=params_fn, num_nodes=config.num_nodes,
+            protocol=machine.protocol,
+        )
+    interp = Interpreter(program, store, params_fn=params_fn)
     result = _run_machine(
-        machine, store, interp.kernel,
+        machine, store, interp.kernel, observer=observer,
         verify=verify, strict_verify=strict_verify,
         verify_label=f"{program.name}/trace",
         checkpoint_dir=None, checkpoint_name=program.name, flavor="trace",
@@ -181,12 +185,6 @@ def run_program(
 ) -> tuple[RunResult, SharedStore]:
     """Timing run (no trace-mode flushing)."""
     store = SharedStore(program, block_size=config.block_size)
-    if observer is not None:
-        observer.bind_run(
-            program, store.labels, block_size=config.block_size,
-            params_fn=params_fn, num_nodes=config.num_nodes,
-        )
-    interp = Interpreter(program, store, params_fn=params_fn)
     bus = observer.bus if observer is not None else None
     if bus is None and verify:
         bus = EventBus()
@@ -194,8 +192,15 @@ def run_program(
         config, flush_at_barrier=False, bus=bus,
         faults=make_injector(faults_seed),
     )
+    if observer is not None:
+        observer.bind_run(
+            program, store.labels, block_size=config.block_size,
+            params_fn=params_fn, num_nodes=config.num_nodes,
+            protocol=machine.protocol,
+        )
+    interp = Interpreter(program, store, params_fn=params_fn)
     result = _run_machine(
-        machine, store, interp.kernel,
+        machine, store, interp.kernel, observer=observer,
         verify=verify, strict_verify=strict_verify,
         verify_label=verify_label or program.name,
         checkpoint_dir=checkpoint_dir,

@@ -210,6 +210,8 @@ class Machine:
         ACCESS = EventKind.ACCESS
         MISS = EventKind.MISS
         HIT = AccessKind.HIT
+        # hot events skip the NamedTuple's generated Python __new__
+        new = tuple.__new__
 
         # Each step ends by fetching the next key.  A node that stays
         # ready goes back in with heappushpop, which returns exactly the
@@ -276,15 +278,15 @@ class Machine:
                     state.clock = started + result.cycles
                     if subscribed:
                         if ACCESS in subscribed:
-                            publish(AccessEvent(
+                            publish(new(AccessEvent, (
                                 nid, self.epoch, addr, pc, is_write, started,
                                 result,
-                            ))
+                            )))
                         if MISS in subscribed and result.kind is not HIT:
-                            publish(MissEvent(
+                            publish(new(MissEvent, (
                                 nid, self.epoch, addr, pc, is_write, started,
                                 result,
-                            ))
+                            )))
 
             elif code == EV_BARRIER:
                 _, _compute, pc = event

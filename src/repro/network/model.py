@@ -68,9 +68,10 @@ class Network:
         self._traffic[kind] += count
         bus = self.bus
         if bus is not None and EventKind.MESSAGE in bus.subscribed:
-            bus.publish(MessageEvent(
+            # tuple.__new__ skips the NamedTuple's generated Python __new__
+            bus.publish(tuple.__new__(MessageEvent, (
                 kind, count, self.node, self.epoch, self.t, self.txn,
-            ))
+            )))
 
     def hops(self, n: int) -> int:
         """Latency of ``n`` sequential message hops on the critical path."""

@@ -8,9 +8,10 @@ module applies the same join to the live event stream of the obs bus, so a
 run can answer "which array, which source line, which epoch is burning the
 traffic?":
 
-* :class:`StallLedger` subscribes ``ACCESS`` (or only ``MISS``) /
-  ``DIRECTIVE`` / ``TRAP`` / ``RECALL`` / ``MESSAGE`` / ``LOCK_ACQUIRE`` /
-  ``BARRIER`` / ``NODE_DONE`` and keeps each epoch's stall spans keyed by
+* :class:`StallLedger` subscribes ``MISS`` / ``DIRECTIVE`` / ``TRAP`` /
+  ``RECALL`` / ``MESSAGE`` / ``LOCK_ACQUIRE`` / ``BARRIER`` /
+  ``NODE_DONE`` (``ACCESS`` only while its audit waits for a checked-out
+  block's first reference) and keeps each epoch's stall spans keyed by
   (node, data structure, pc, cause), plus each epoch's length, barrier
   arrivals, messages per node and **annotation-effectiveness audit**:
   check-outs whose blocks were never re-referenced, check-ins immediately
@@ -41,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.coherence.protocol import AccessKind
 from repro.errors import LabelError, ObsError
 from repro.lang.ast import Barrier, Program, walk_stmts
 from repro.lang.unparse import target_str, unparse_with_map
@@ -114,7 +114,6 @@ class SourceMap:
 DIRECTIVE = "directive"
 LOCK = "lock"
 
-_HIT = AccessKind.HIT
 #: the attribution counts a span carries as they are
 _SPAN_COUNTS = (
     "misses", "read_miss", "write_miss", "write_fault", "dir_issues",
@@ -190,6 +189,15 @@ class StallLedger:
     per-node miss footprint is re-expressed as a symbolic range
     (``B[Lkp:Ukp, 0:15]``) exactly the way the annotator symbolizes
     annotation targets.
+
+    With ``audit`` (what attribution asks for) the ledger also keeps the
+    check-out audit; :func:`repro.obs.critpath.critpath_report` reads
+    none of it.  Misses come from MISS either way, and a hit matters only
+    to the audit, and only while a checked-out (node, block) pair is
+    still unreferenced: the ledger reads ACCESS just while it holds such a
+    pair (see :meth:`attach`).  ``hits`` is the run's hit total, handed to
+    :meth:`finalize` by whoever reads the protocol's counters (the
+    :class:`~repro.obs.session.Observer`).
     """
 
     def __init__(
@@ -198,6 +206,7 @@ class StallLedger:
         block_size: int = 32,
         source: SourceMap | None = None,
         env=None,
+        audit: bool = True,
     ):
         if block_size <= 0 or block_size & (block_size - 1):
             raise ObsError(f"block_size must be a power of two, got {block_size}")
@@ -206,10 +215,11 @@ class StallLedger:
         self._shift = block_size.bit_length() - 1
         self.source = source
         self.env = env
+        self._keep_audit = audit
         #: epoch -> (node, array, pc, cause) -> Span
         self.spans: dict[int, dict[tuple[int, str, int, str], Span]] = {}
         self.epochs: list[dict] = []  # one per closed epoch, in order
-        self.hits = 0  # read from ACCESS only; see attach
+        self.hits = 0  # set by finalize
         self.epoch = 0  # the open epoch
         self.start_vt = 0  # where it started: the previous barrier's vt
         self._resume = 0  # clock the nodes resumed from
@@ -219,22 +229,30 @@ class StallLedger:
         # per-node trap/recall events awaiting their enclosing access/directive
         self._pending: dict[int, list] = {}
         self._audit = _EpochAudit()
+        # checked-out pairs of the open epoch not referenced yet: the
+        # False values of _audit.outstanding
+        self._unreferenced = 0
         # (array, epoch) -> node -> missed flat element indices, expanded to
         # whole blocks (a miss acquires the full block); kept only with env
         self._foot: dict[tuple[str, int], dict[int, set[int]]] = {}
         self._finalized = False
+        self._bus: EventBus | None = None
+        self._tokens: list[int] = []
+        self._hit_token: int | None = None  # the ACCESS subscription
 
-    def attach(self, bus: EventBus, hits: bool = True) -> list[int]:
-        """Subscribe to ``bus``; returns the subscription tokens.
+    def attach(self, bus: EventBus) -> None:
+        """Subscribe to ``bus`` until :meth:`detach`.
 
-        With ``hits`` the ledger reads every access (``ACCESS``): the
-        attribution report's hit total and check-out audit need them.
-        Without, it reads only ``MISS``, and a hit costs it nothing.
+        The ledger reads misses from MISS.  With ``audit`` it also
+        subscribes to ACCESS when the count of unreferenced checked-out
+        pairs rises from zero, and unsubscribes when the count falls back
+        to zero and at each epoch close; a hit outside those windows
+        cannot change the audit, and costs the ledger nothing.
         """
+        self._bus = bus
         sub = bus.subscribe
-        return [
-            sub((EventKind.ACCESS,), self._on_access) if hits
-            else sub((EventKind.MISS,), self._on_miss),
+        self._tokens = [
+            sub((EventKind.MISS,), self._on_miss),
             sub((EventKind.DIRECTIVE,), self._on_directive),
             sub((EventKind.TRAP, EventKind.RECALL), self._on_slow_path),
             sub((EventKind.MESSAGE,), self._on_message),
@@ -242,6 +260,30 @@ class StallLedger:
             sub((EventKind.BARRIER,), self._on_barrier),
             sub((EventKind.NODE_DONE,), self._on_node_done),
         ]
+
+    def detach(self) -> None:
+        """Drop every subscription the ledger holds, ACCESS included."""
+        self._read_accesses(False)
+        for token in self._tokens:
+            self._bus.unsubscribe(token)
+        self._tokens.clear()
+
+    def _read_accesses(self, on: bool) -> None:
+        """Subscribe to ACCESS (``on``) or drop that subscription."""
+        if on:
+            if self._hit_token is None and self._bus is not None:
+                self._hit_token = self._bus.subscribe(
+                    (EventKind.ACCESS,), self._on_access)
+        elif self._hit_token is not None:
+            self._bus.unsubscribe(self._hit_token)
+            self._hit_token = None
+
+    def _referenced(self, pair: tuple[int, int]) -> None:
+        """An unreferenced checked-out ``pair`` was used."""
+        self._audit.outstanding[pair] = True
+        self._unreferenced -= 1
+        if not self._unreferenced:
+            self._read_accesses(False)
 
     # ----------------------------------------------------------- resolve
     def _block_label(self, block: int) -> tuple[ArrayLabel | None, str]:
@@ -309,27 +351,24 @@ class StallLedger:
             self._foot.setdefault((array, epoch), {}).setdefault(
                 node, set()
             ).update(self._block_flats(label, block))
-        pair = (node, block)
-        audit = self._audit
-        if pair in audit.outstanding:
-            audit.outstanding[pair] = True
-        audit.missed_pairs.add(pair)
-        if pair in audit.checked_in:
-            audit.checked_in.remove(pair)
-            audit.premature_checkins += 1
+        if self._keep_audit:
+            pair = (node, block)
+            audit = self._audit
+            if audit.outstanding.get(pair) is False:
+                self._referenced(pair)
+            audit.missed_pairs.add(pair)
+            if pair in audit.checked_in:
+                audit.checked_in.remove(pair)
+                audit.premature_checkins += 1
 
     # ---------------------------------------------------------- handlers
     def _on_access(self, ev: AccessEvent) -> None:
-        result = ev.result
-        if result.kind is not _HIT:
-            self._on_miss(ev)
-            return
-        self.hits += 1
-        outstanding = self._audit.outstanding
-        if outstanding:
-            pair = (ev.node, ev.addr >> self._shift)
-            if pair in outstanding:
-                outstanding[pair] = True  # the checked-out block is used
+        # subscribed only while some checked-out pair is unreferenced; a
+        # miss's reference is marked here or in charge_miss, whichever
+        # comes first
+        pair = (ev.node, ev.addr >> self._shift)
+        if self._audit.outstanding.get(pair) is False:
+            self._referenced(pair)
 
     def _on_miss(self, ev: AccessEvent) -> None:
         node, epoch, addr, pc, _write, _t, result = ev
@@ -347,22 +386,34 @@ class StallLedger:
         span = self._span(epoch, node, first, pc, DIRECTIVE)
         span.cycles += ev.cycles
         span.count += 1
-        audit = self._audit
-        checkout = ev.dkind in _CHECK_OUTS
         for block in blockset:
             array = self._array_of_block(block)
             self._span(epoch, node, array, pc, DIRECTIVE).dir_issues += 1
-            pair = (node, block)
-            if checkout:
-                audit.checkouts += 1
-                audit.covered_pairs.add(pair)
-                audit.outstanding.setdefault(pair, False)
-            elif ev.dkind == DIR_CHECK_IN:
-                audit.checkins += 1
-                if audit.outstanding.pop(pair, True) is False:
-                    audit.useless_checkouts += 1
-                audit.checked_in.add(pair)
+        if self._keep_audit:
+            self._audit_directive(node, ev.dkind, blockset)
         self._fold(node, epoch, pc, DIRECTIVE)
+
+    def _audit_directive(self, node: int, dkind: int,
+                         blockset: tuple[int, ...]) -> None:
+        audit = self._audit
+        outstanding = audit.outstanding
+        if dkind in _CHECK_OUTS:
+            audit.checkouts += len(blockset)
+            for block in blockset:
+                pair = (node, block)
+                audit.covered_pairs.add(pair)
+                if pair not in outstanding:
+                    outstanding[pair] = False
+                    self._unreferenced += 1
+        elif dkind == DIR_CHECK_IN:
+            audit.checkins += len(blockset)
+            for block in blockset:
+                pair = (node, block)
+                if outstanding.pop(pair, True) is False:
+                    audit.useless_checkouts += 1
+                    self._unreferenced -= 1
+                audit.checked_in.add(pair)
+        self._read_accesses(self._unreferenced > 0)
 
     def _on_slow_path(self, ev: TrapEvent | RecallEvent) -> None:
         self._pending.setdefault(ev.node, []).append(ev)
@@ -418,23 +469,26 @@ class StallLedger:
             "checkouts": audit.checkouts,
             "checkins": audit.checkins,
             # check-outs still unreferenced when the epoch ends were useless
-            "useless_checkouts": audit.useless_checkouts
-            + sum(1 for used in audit.outstanding.values() if not used),
+            "useless_checkouts": audit.useless_checkouts + self._unreferenced,
             "premature_checkins": audit.premature_checkins,
         })
         self._audit = _EpochAudit()
+        self._unreferenced = 0
+        self._read_accesses(False)
         self.epoch = epoch + 1
         self.start_vt = end_vt
         if resume is not None:
             self._resume = resume
 
-    def finalize(self, cycles: int | None = None) -> None:
+    def finalize(self, cycles: int | None = None, hits: int = 0) -> None:
         """Fold unclaimed slow-path events and close the trailing epoch at
         ``cycles`` from the nodes' completion clocks (idempotent; mirrors
-        ``RunResult.epoch_times``).  Call it before reading a report."""
+        ``RunResult.epoch_times``); ``hits`` is the run's hit total.  Call
+        it before reading a report."""
         if self._finalized:
             return
         self._finalized = True
+        self.hits = hits
         for node in list(self._pending):
             self._fold(node, self.epoch, -1, "unclaimed")
         end = max(cycles or 0, self.start_vt)

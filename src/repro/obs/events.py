@@ -18,10 +18,14 @@ the bus's live view of its subscribed kinds, with no call — and only
 instructions and nothing else.  Do not put work on the publishing side
 that is not behind such a test.  Every event but :class:`BarrierEvent` is
 an immutable :class:`~typing.NamedTuple` record, built positionally: one
-tuple allocation per event, with no per-field ``__setattr__``.  Its
-``kind`` is a class attribute, except on :class:`LockEvent`, which serves
-three kinds and carries ``kind`` as a field.  :class:`BarrierEvent`, one
-per epoch and carrying dicts, is a frozen dataclass.
+tuple allocation per event, with no per-field ``__setattr__``.  The
+hottest three — :class:`AccessEvent`, :class:`MissEvent` and
+:class:`MessageEvent` — are built as ``tuple.__new__(Type, (...))``, which
+skips the NamedTuple's generated Python ``__new__`` (and its defaults:
+such a call must pass every field, in order).  An event's ``kind`` is a
+class attribute, except on :class:`LockEvent`, which serves three kinds
+and carries ``kind`` as a field.  :class:`BarrierEvent`, one per epoch and
+carrying dicts, is a frozen dataclass.
 
 Timestamps are node virtual-time cycles.  ``t`` is the clock at which the
 event *starts* (for spans, the duration is carried separately), so events

@@ -2,8 +2,8 @@
 
 :class:`Observer` is the one-stop object the harness and CLIs use: it owns
 an :class:`~repro.obs.events.EventBus`, populates a
-:class:`~repro.obs.metrics.MetricsRegistry` from the simulator's events,
-snapshots it per epoch into an :class:`~repro.obs.timeline.EpochTimeline`,
+:class:`~repro.obs.metrics.MetricsRegistry` from the simulator's events
+(and its hit count from the protocol's counters), snapshots it per epoch into an :class:`~repro.obs.timeline.EpochTimeline`,
 and, when asked to (``chrome=True``), records Chrome trace events — one
 timeline track per node, epoch markers at every barrier, spans for misses,
 directives and lock waits.  After the run, :meth:`Observer.finalize`
@@ -43,6 +43,7 @@ from repro.obs.events import (
     EventKind,
     LockEvent,
     MessageEvent,
+    MissEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -116,10 +117,20 @@ class Observer:
         ``Observation.critpath``.
 
     Either flag attaches one :class:`~repro.obs.attrib.StallLedger` when
-    the run is bound (the harness calls :meth:`bind_run` with the program
-    and labelled-region table); both reports read it.  It reads every
-    access only for ``profile``, whose hit total and check-out audit need
-    hits; otherwise it reads only misses.
+    the run is bound (the harness calls :meth:`bind_run` with the program,
+    the labelled-region table and the machine's protocol); both reports
+    read it.  It keeps the check-out audit only for ``profile``.
+
+    Who reads ACCESS, the one topic with an event per hit: the observer
+    only with ``include_hits`` (hit spans); its metrics and miss spans
+    read MISS.  The ledger reads ACCESS only with ``profile``, and only
+    while a checked-out (node, block) pair is still unreferenced.
+    ``accesses.hit`` comes from the protocol bound by :meth:`bind_run`
+    (``Dir1SWProtocol.hits()``, prefetched hits included), read at every
+    barrier before the timeline samples and at :meth:`finalize`; it
+    counts from the start of the run, or from the checkpoint a run
+    resumed from (:meth:`resume`), as the miss counters do.  An observer
+    whose run was never bound to a protocol reports no hits.
     """
 
     def __init__(
@@ -148,6 +159,10 @@ class Observer:
         self._critpath = critpath
         self.ledger = None  # StallLedger, set by bind_run
         self._tokens: list[int] = []
+        # accesses.hit is _hits0 plus the protocol's hits since _proto_hits0
+        self._protocol = None
+        self._hits0 = 0
+        self._proto_hits0 = 0
         # chrome-mode flow bookkeeping: slow-path events by requesting node,
         # consumed by the enclosing access/directive span (the protocol
         # publishes them synchronously inside the operation)
@@ -184,7 +199,7 @@ class Observer:
 
         sub = self.bus.subscribe
         self._tokens += [
-            sub((EventKind.ACCESS,), self._on_access),
+            sub((EventKind.MISS,), self._on_miss),
             sub((EventKind.DIRECTIVE,), self._on_directive),
             sub((EventKind.LOCK_ACQUIRE, EventKind.LOCK_CONTEND,
                  EventKind.LOCK_RELEASE), self._on_lock),
@@ -194,44 +209,49 @@ class Observer:
             sub((EventKind.NODE_DONE,), self._on_node_done),
             sub((EventKind.BARRIER,), self._on_barrier),
         ]
+        if include_hits:
+            self._tokens.append(sub((EventKind.ACCESS,), self._on_access))
         # The timeline subscribes *after* the metric handlers so each epoch
         # sample includes the barrier that closed it.
         self.timeline = EpochTimeline(self.registry)
         self._tokens.append(self.timeline.attach(self.bus))
 
     # ------------------------------------------------------------- handlers
-    def _on_access(self, ev: AccessEvent) -> None:
+    def _on_miss(self, ev: MissEvent) -> None:
         result = ev.result
-        kind = result.kind
-        if kind is _HIT:
-            # the hottest path: one counter bump, unless hits become spans
-            self._c_hits.value += 1
-            if not self.include_hits:
-                return
-        else:
-            self._c_access[kind].inc()
-            self._h_miss.observe(result.cycles)
+        self._c_access[result.kind].inc()
+        self._h_miss.observe(result.cycles)
         if self._chrome:
-            args = {
-                "addr": f"{ev.addr:#x}",
-                "pc": ev.pc,
-                "write": ev.write,
-                "epoch": ev.epoch,
-                "detail": result.detail,
-            }
-            if result.txn >= 0:
-                args["txn"] = result.txn
-            self.trace_events.append({
-                "name": result.kind.value,
-                "cat": "mem",
-                "ph": "X",
-                "ts": ev.t,
-                "dur": result.cycles,
-                "pid": ev.node,
-                "tid": ev.node,
-                "args": args,
-            })
-            self._emit_flows(ev.node, ev.t, result.cycles)
+            self._record_access(ev)
+
+    def _on_access(self, ev: AccessEvent) -> None:
+        # subscribed only with include_hits; misses come through _on_miss
+        if ev.result.kind is _HIT:
+            self._record_access(ev)
+
+    def _record_access(self, ev: AccessEvent) -> None:
+        """One access's Chrome span, with the flows its slow path ran."""
+        result = ev.result
+        args = {
+            "addr": f"{ev.addr:#x}",
+            "pc": ev.pc,
+            "write": ev.write,
+            "epoch": ev.epoch,
+            "detail": result.detail,
+        }
+        if result.txn >= 0:
+            args["txn"] = result.txn
+        self.trace_events.append({
+            "name": result.kind.value,
+            "cat": "mem",
+            "ph": "X",
+            "ts": ev.t,
+            "dur": result.cycles,
+            "pid": ev.node,
+            "tid": ev.node,
+            "args": args,
+        })
+        self._emit_flows(ev.node, ev.t, result.cycles)
 
     def _on_directive(self, ev: DirectiveEvent) -> None:
         self._c_directives[ev.dkind].inc()
@@ -250,6 +270,7 @@ class Observer:
             self._emit_flows(ev.node, ev.t, ev.cycles)
 
     def _on_barrier(self, ev: BarrierEvent) -> None:
+        self._read_hits()  # before the timeline samples the registry
         self._c_barriers.inc()
         self._h_epoch.observe(ev.vt - (self.timeline._prev_vt))
         if self._chrome:
@@ -382,6 +403,14 @@ class Observer:
                         "pid": node, "tid": node})
 
     # ------------------------------------------------------------ lifecycle
+    def _read_hits(self) -> int:
+        """Set ``accesses.hit`` from the protocol; returns the run's hits."""
+        if self._protocol is None:
+            return 0
+        hits = self._protocol.hits() - self._proto_hits0
+        self._c_hits.value = self._hits0 + hits
+        return hits
+
     def bind_run(
         self,
         program,
@@ -389,16 +418,21 @@ class Observer:
         block_size: int = 32,
         params_fn=None,
         num_nodes: int = 0,
+        protocol=None,
     ) -> None:
         """Give the observer the run's static context (called by the harness
         entry points before the machine starts).
 
+        ``protocol`` is the machine's; ``accesses.hit`` is read from it.
         With ``profile`` or ``critpath`` this attaches the
         :class:`~repro.obs.attrib.StallLedger` joining the event stream with
         the labelled-region table, the program's line table and — for
         ``profile``, when the parameter environment is available — the
         symbolic footprint matcher of :mod:`repro.cachier.mapping`.
         """
+        if protocol is not None:
+            self._protocol = protocol
+            self.resume()
         if not (self._profile or self._critpath) or self.ledger is not None:
             return
         from repro.obs.attrib import SourceMap, StallLedger
@@ -410,25 +444,35 @@ class Observer:
             env = ParamEnv(params_fn, num_nodes)
         self.ledger = StallLedger(
             labels=labels, block_size=block_size, source=SourceMap(program),
-            env=env,
+            env=env, audit=self._profile,
         )
-        self._tokens += self.ledger.attach(self.bus, hits=self._profile)
+        self.ledger.attach(self.bus)
+
+    def resume(self) -> None:
+        """Count hits from here on: call once the machine has restored the
+        checkpoint a run resumes from (the runner does)."""
+        self._hits0 = self._c_hits.value
+        self._proto_hits0 = self._protocol.hits()
 
     def detach(self) -> None:
-        """Drop every subscription this observer holds on the bus."""
+        """Drop every subscription this observer and its ledger hold on
+        the bus."""
         for token in self._tokens:
             self.bus.unsubscribe(token)
         self._tokens.clear()
+        if self.ledger is not None:
+            self.ledger.detach()
 
     def finalize(self, result) -> Observation:
         """Freeze the observation and attach it to ``result.obs``."""
+        hits = self._read_hits()
         self.timeline.finalize(result.cycles)
         attrib = critpath = None
         if self.ledger is not None:
             from repro.obs.attrib import attribution_report
             from repro.obs.critpath import critpath_report
 
-            self.ledger.finalize(result.cycles)
+            self.ledger.finalize(result.cycles, hits)
             name = self.meta.get("name", "run")
             if self._profile:
                 attrib = attribution_report(self.ledger, name=name)

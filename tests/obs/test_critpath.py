@@ -152,8 +152,8 @@ class TestSyntheticSlack:
             yield (EV_REF, 10, -1, False, -1)
 
         bus = EventBus()
-        ledger = StallLedger()
-        ledger.attach(bus, hits=False)
+        ledger = StallLedger(audit=False)
+        ledger.attach(bus)
         config = MachineConfig(
             num_nodes=2, cache_size=4096, block_size=32, assoc=2
         )

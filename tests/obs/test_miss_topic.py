@@ -1,11 +1,12 @@
 """The MISS topic: a copy of every ACCESS event whose outcome is not a hit.
 
-Consumers that read only misses (the trace collector, and the stall
-ledger when only the critical path is asked for) subscribe to MISS and are
-never called for a hit.  These tests pin the contract on an observed,
-verified run of a prefetching variant, whose accesses include every
-outcome: plain and prefetched hits, read and write misses, and write
-faults.
+Consumers that read only misses (the trace collector, the Observer's
+metrics and the stall ledger) subscribe to MISS and are never called for
+a hit.  These tests pin the contract on runs of a prefetching variant,
+whose accesses include every outcome: plain and prefetched hits, read and
+write misses, and write faults.  They also pin who still reads ACCESS:
+the verifier, an Observer with ``include_hits``, and a profiling ledger
+only while one of its check-outs is still unreferenced.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ def prefetching():
     return annotated.program, spec
 
 
-def _observed_verified_run(prefetching, **observer_flags) -> list:
-    program, spec = prefetching
-    bus = RecordingBus()
+def _observed_run(program, spec, bus=None, verify=True,
+                  **observer_flags) -> list:
+    bus = bus if bus is not None else RecordingBus()
     run_program(program, spec.config, spec.params_fn,
-                observer=Observer(bus=bus, **observer_flags), verify=True)
+                observer=Observer(bus=bus, **observer_flags), verify=verify)
     return bus.published
+
+
+def _observed_verified_run(prefetching, **observer_flags) -> list:
+    return _observed_run(*prefetching, **observer_flags)
 
 
 def test_miss_carries_every_non_hit_access_in_order(prefetching):
@@ -83,14 +88,81 @@ def test_miss_carries_every_non_hit_access_in_order(prefetching):
             assert tuple(before) == tuple(ev)
 
 
-def test_no_miss_subscriber_publishes_no_miss(prefetching):
-    # the Observer's metrics, the stall ledger of a profiling observer and
-    # the invariant checker all read ACCESS; none of them subscribes to MISS
-    published = _observed_verified_run(prefetching, profile=True)
-    kinds = {ev.kind for ev in published}
-    assert EventKind.ACCESS in kinds
-    assert EventKind.MISS not in kinds
-    assert not any(isinstance(ev, MissEvent) for ev in published)
+@pytest.mark.parametrize("flags", [{}, {"critpath": True}],
+                         ids=["metrics", "critpath"])
+def test_observer_publishes_no_access_event(prefetching, flags):
+    """Neither the Observer's metrics nor a critical-path ledger reads
+    hits, so the machine builds no AccessEvent for them."""
+    published = _observed_run(*prefetching, verify=False, **flags)
+    assert any(ev.kind is EventKind.MISS for ev in published)
+    assert not any(ev.kind is EventKind.ACCESS for ev in published)
+
+
+def test_profile_only_plain_run_publishes_no_access_event(prefetching):
+    """Without a check-out the profiling ledger never waits on a hit."""
+    _program, spec = prefetching
+    published = _observed_run(spec.program, spec, verify=False,
+                              profile=True)
+    assert any(ev.kind is EventKind.MISS for ev in published)
+    assert not any(ev.kind is EventKind.ACCESS for ev in published)
+
+
+class _AuditedBus(RecordingBus):
+    """Checks at every publish that ACCESS is subscribed exactly while the
+    observer's ledger holds a checked-out pair not referenced yet."""
+
+    __slots__ = ("observer", "windows")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observer = None
+        self.windows = 0  # times ACCESS got a subscriber
+
+    def publish(self, event) -> None:
+        ledger = self.observer.ledger
+        unreferenced = [pair for pair, used in
+                        ledger._audit.outstanding.items() if not used]
+        assert (EventKind.ACCESS in self.subscribed) == bool(unreferenced)
+        reading = EventKind.ACCESS in self.subscribed
+        super().publish(event)
+        self.windows += EventKind.ACCESS in self.subscribed and not reading
+
+
+def test_ledger_reads_access_only_while_a_checkout_is_unreferenced(
+        prefetching):
+    program, spec = prefetching
+    bus = _AuditedBus()
+    observer = bus.observer = Observer(bus=bus, profile=True)
+    run_program(program, spec.config, spec.params_fn, observer=observer)
+    accesses = [ev for ev in bus.published if ev.kind is EventKind.ACCESS]
+    misses = [ev for ev in bus.published if ev.kind is EventKind.MISS]
+    assert bus.windows > 1
+    # the windows hold some of the run's hits, not all of them
+    hits = observer.observation.metric("accesses.hit")
+    assert 0 < sum(ev.result.kind is AccessKind.HIT for ev in accesses) < hits
+    assert 0 < len(misses)
+    # every epoch closes its window: nothing reads ACCESS after the run
+    assert EventKind.ACCESS not in bus.subscribed
+    observer.detach()
+    assert not bus.active
+
+
+def test_detach_drops_the_ledgers_access_subscription(prefetching):
+    """Detached while its ledger reads ACCESS, an observer leaves the bus
+    with no subscription of its own."""
+    program, spec = prefetching
+    bus = EventBus()
+    observer = Observer(bus=bus, profile=True)
+    left: list[set] = []
+
+    def detach_while_reading(_ev) -> None:
+        if not left and EventKind.ACCESS in bus.subscribed:
+            observer.detach()
+            left.append(set(bus.subscribed))
+
+    bus.subscribe((EventKind.MESSAGE,), detach_while_reading)
+    run_program(program, spec.config, spec.params_fn, observer=observer)
+    assert left == [{EventKind.MESSAGE}]
 
 
 def test_miss_alone_publishes_no_access():
