@@ -190,12 +190,14 @@ class StallLedger:
     (``B[Lkp:Ukp, 0:15]``) exactly the way the annotator symbolizes
     annotation targets.
 
-    With ``audit`` (what attribution asks for) the ledger also keeps the
-    check-out audit; :func:`repro.obs.critpath.critpath_report` reads
-    none of it.  Misses come from MISS either way, and a hit matters only
-    to the audit, and only while a checked-out (node, block) pair is
-    still unreferenced: the ledger reads ACCESS just while it holds such a
-    pair (see :meth:`attach`).  ``hits`` is the run's hit total, handed to
+    With ``attribution`` the ledger also keeps what only
+    :func:`attribution_report` reads: the check-out audit and each
+    directive's covered blocks per array (``dir_issues``);
+    :func:`repro.obs.critpath.critpath_report` reads neither.  Misses
+    come from MISS either way, and a hit matters only to the audit, and
+    only while a checked-out (node, block) pair is still unreferenced: the
+    ledger reads ACCESS just while it holds such a pair (see
+    :meth:`attach`).  ``hits`` is the run's hit total, handed to
     :meth:`finalize` by whoever reads the protocol's counters (the
     :class:`~repro.obs.session.Observer`).
     """
@@ -206,7 +208,7 @@ class StallLedger:
         block_size: int = 32,
         source: SourceMap | None = None,
         env=None,
-        audit: bool = True,
+        attribution: bool = True,
     ):
         if block_size <= 0 or block_size & (block_size - 1):
             raise ObsError(f"block_size must be a power of two, got {block_size}")
@@ -215,7 +217,7 @@ class StallLedger:
         self._shift = block_size.bit_length() - 1
         self.source = source
         self.env = env
-        self._keep_audit = audit
+        self._attribution = attribution
         #: epoch -> (node, array, pc, cause) -> Span
         self.spans: dict[int, dict[tuple[int, str, int, str], Span]] = {}
         self.epochs: list[dict] = []  # one per closed epoch, in order
@@ -243,7 +245,7 @@ class StallLedger:
     def attach(self, bus: EventBus) -> None:
         """Subscribe to ``bus`` until :meth:`detach`.
 
-        The ledger reads misses from MISS.  With ``audit`` it also
+        The ledger reads misses from MISS.  With ``attribution`` it also
         subscribes to ACCESS when the count of unreferenced checked-out
         pairs rises from zero, and unsubscribes when the count falls back
         to zero and at each epoch close; a hit outside those windows
@@ -351,7 +353,7 @@ class StallLedger:
             self._foot.setdefault((array, epoch), {}).setdefault(
                 node, set()
             ).update(self._block_flats(label, block))
-        if self._keep_audit:
+        if self._attribution:
             pair = (node, block)
             audit = self._audit
             if audit.outstanding.get(pair) is False:
@@ -386,10 +388,10 @@ class StallLedger:
         span = self._span(epoch, node, first, pc, DIRECTIVE)
         span.cycles += ev.cycles
         span.count += 1
-        for block in blockset:
-            array = self._array_of_block(block)
-            self._span(epoch, node, array, pc, DIRECTIVE).dir_issues += 1
-        if self._keep_audit:
+        if self._attribution:
+            for block in blockset:
+                array = self._array_of_block(block)
+                self._span(epoch, node, array, pc, DIRECTIVE).dir_issues += 1
             self._audit_directive(node, ev.dkind, blockset)
         self._fold(node, epoch, pc, DIRECTIVE)
 

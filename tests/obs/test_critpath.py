@@ -152,7 +152,7 @@ class TestSyntheticSlack:
             yield (EV_REF, 10, -1, False, -1)
 
         bus = EventBus()
-        ledger = StallLedger(audit=False)
+        ledger = StallLedger(attribution=False)
         ledger.attach(bus)
         config = MachineConfig(
             num_nodes=2, cache_size=4096, block_size=32, assoc=2
