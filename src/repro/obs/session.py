@@ -119,7 +119,8 @@ class Observer:
     Either flag attaches one :class:`~repro.obs.attrib.StallLedger` when
     the run is bound (the harness calls :meth:`bind_run` with the program,
     the labelled-region table and the machine's protocol); both reports
-    read it.  It keeps the check-out audit only for ``profile``.
+    read it.  It keeps what only attribution reads (the check-out audit
+    and the directives' per-array block counts) only for ``profile``.
 
     Who reads ACCESS, the one topic with an event per hit: the observer
     only with ``include_hits`` (hit spans); its metrics and miss spans
