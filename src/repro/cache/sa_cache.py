@@ -8,6 +8,13 @@ The cache stores *state only* — data values live in the functional backing
 store owned by the machine — so lookups and insertions are cheap dict
 operations, which matters because every shared reference of every simulated
 node passes through here.
+
+Caches may share a *residency count*: a dict mapping each block to the
+number of those caches holding it (blocks held nowhere have no key).  Each
+cache updates it wherever a line enters or leaves — :meth:`insert` and its
+eviction, :meth:`invalidate`, :meth:`flush_all`, :meth:`restore_lines` —
+so "how many caches hold block b" is one lookup.  A protocol hands its
+caches one shared dict; the per-write SWMR check reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from repro.mem.address import check_power_of_two
 class SetAssociativeCache:
     """LRU set-associative cache over block numbers."""
 
-    def __init__(self, size_bytes: int, block_size: int, assoc: int):
+    def __init__(self, size_bytes: int, block_size: int, assoc: int,
+                 residency: dict[int, int] | None = None):
         check_power_of_two(size_bytes, "size_bytes")
         check_power_of_two(block_size, "block_size")
         if assoc <= 0:
@@ -44,6 +52,9 @@ class SetAssociativeCache:
         self.sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
+        #: block -> caches holding it, shared with the caches it was
+        #: handed to (see the module doc); read-only outside this class
+        self.residency: dict[int, int] = {} if residency is None else residency
 
     # -- geometry ------------------------------------------------------------
     def set_index(self, block: int) -> int:
@@ -93,12 +104,27 @@ class SetAssociativeCache:
         victim: CacheLine | None = None
         if len(cset) >= self.assoc:
             _, victim = cset.popitem(last=False)  # least recently used
+            self._left(victim.block)
         cset[block] = CacheLine(block=block, state=state, dirty=dirty)
+        residency = self.residency
+        residency[block] = residency.get(block, 0) + 1
         return victim
+
+    def _left(self, block: int) -> None:
+        """Count one copy of ``block`` out of the residency count."""
+        residency = self.residency
+        held = residency[block] - 1
+        if held:
+            residency[block] = held
+        else:
+            del residency[block]
 
     def invalidate(self, block: int) -> CacheLine | None:
         """Remove ``block`` if resident; return the removed line."""
-        return self.sets[self.set_index(block)].pop(block, None)
+        line = self.sets[self.set_index(block)].pop(block, None)
+        if line is not None:
+            self._left(block)
+        return line
 
     def downgrade(self, block: int) -> bool:
         """EXCLUSIVE -> SHARED; return whether the line was dirty."""
@@ -122,8 +148,7 @@ class SetAssociativeCache:
     def restore_lines(self, lines: list[tuple[int, str, bool]]) -> None:
         """Rebuild residency from :meth:`snapshot_lines` output.  Inserting
         in snapshot order reproduces the per-set LRU order exactly."""
-        for cset in self.sets:
-            cset.clear()
+        self.flush_all()
         for block, state, dirty in lines:
             self.insert(int(block), LineState(state), bool(dirty))
 
@@ -136,4 +161,6 @@ class SetAssociativeCache:
         flushed = [line for cset in self.sets for line in cset.values()]
         for cset in self.sets:
             cset.clear()
+        for line in flushed:
+            self._left(line.block)
         return flushed

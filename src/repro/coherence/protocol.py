@@ -110,8 +110,12 @@ class Dir1SWProtocol:
         self.network = network or Network(hop_latency=self.cost.net_hop, bus=bus)
         if faults is not None:
             self.network.faults = faults
+        #: block -> how many of this protocol's caches hold it, kept by
+        #: the caches themselves (see :mod:`repro.cache.sa_cache`)
+        self.residency: dict[int, int] = {}
         self.caches = [
-            SetAssociativeCache(cache_size, block_size, assoc) for _ in range(num_nodes)
+            SetAssociativeCache(cache_size, block_size, assoc, self.residency)
+            for _ in range(num_nodes)
         ]
         self.stats = [CacheStats() for _ in range(num_nodes)]
         self.proto_stats = ProtocolStats()
@@ -178,6 +182,34 @@ class Dir1SWProtocol:
         count of HIT outcomes the machine has published on ACCESS."""
         return (sum(stats.hits for stats in self.stats)
                 + self.proto_stats.prefetch_hits)
+
+    def hit_path(self) -> tuple:
+        """What the hit rule of :meth:`read` and :meth:`write` reads, for a
+        caller that resolves plain hits itself (the machine's step loop).
+
+        Returns ``(sets, mask, stats, pending, hit)``: per node, the
+        cache's sets (block ``b`` lives in set ``b & mask``; every cache
+        has the same geometry), its :class:`CacheStats` and its in-flight
+        prefetches; and the one shared HIT result.  A *plain hit* is a block resident in the
+        node's set, read, or written on an EXCLUSIVE line, with no
+        prefetch to it in flight.  It costs exactly what :meth:`read` /
+        :meth:`write` charge one: the line moves to the set's MRU end, a
+        write sets its dirty bit, the node's ``hits`` counts it, and the
+        outcome is ``hit``.  Every other access must go through
+        :meth:`read` / :meth:`write`, which stay the written reference
+        for the rule.
+
+        :meth:`restore_state` rebinds ``stats`` and the pending maps, so
+        take this after any restore (the machine takes it after a
+        checkpoint's fast-forward).
+        """
+        return (
+            [cache.sets for cache in self.caches],
+            self.caches[0].num_sets - 1,
+            self.stats,
+            self._pending,
+            self._hit,
+        )
 
     def _evict(self, node: int, victim: CacheLine) -> None:
         """Directory bookkeeping for a replaced line (off the critical path)."""

@@ -19,7 +19,9 @@ lock hand-off and a checkpoint resume push it back with the same encoding.
 Responsibilities:
 
 * charge compute cycles and memory-system latencies to node clocks,
-* run the Dir1SW protocol for every shared reference and CICO directive,
+* resolve plain cache hits in the step loop (the rule is
+  :meth:`Dir1SWProtocol.hit_path`'s) and run the Dir1SW protocol for every
+  other shared reference and every CICO directive,
 * implement barrier synchronisation (the paper's program model, Fig. 2:
   epochs are the intervals between barriers) and the per-barrier epoch
   counter / virtual-time stamps,
@@ -39,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.cache.state import LineState
 from repro.cache.stats import CacheStats
 from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import AccessKind, Dir1SWProtocol
@@ -204,12 +207,15 @@ class Machine:
         shift = self._block_shift
         read = self.protocol.read
         write = self.protocol.write
+        # the hit rule's inputs, taken after restore() (which rebinds them)
+        sets, set_mask, node_stats, pending, hit = self.protocol.hit_path()
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
         heapreplace = heapq.heapreplace
         ACCESS = EventKind.ACCESS
         MISS = EventKind.MISS
         HIT = AccessKind.HIT
+        EXCLUSIVE = LineState.EXCLUSIVE
         # hot events skip the NamedTuple's generated Python __new__
         new = tuple.__new__
 
@@ -271,10 +277,23 @@ class Machine:
                 _, _compute, addr, is_write, pc = event
                 if addr >= 0:
                     started = state.clock
-                    if is_write:
-                        result = write(nid, addr >> shift, started)
+                    block = addr >> shift
+                    # A plain hit (see Dir1SWProtocol.hit_path) is resolved
+                    # here, as the protocol would; the rest go through it.
+                    cset = sets[nid][block & set_mask]
+                    line = cset.get(block)
+                    if (line is not None
+                            and (not is_write or line.state is EXCLUSIVE)
+                            and block not in pending[nid]):
+                        cset.move_to_end(block)
+                        if is_write:
+                            line.dirty = True
+                        node_stats[nid].hits += 1
+                        result = hit
+                    elif is_write:
+                        result = write(nid, block, started)
                     else:
-                        result = read(nid, addr >> shift, started)
+                        result = read(nid, block, started)
                     state.clock = started + result.cycles
                     if subscribed:
                         if ACCESS in subscribed:

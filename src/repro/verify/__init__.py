@@ -183,37 +183,55 @@ class InvariantChecker:
         # deque append is far cheaper per event than per-txn dict upkeep)
         self._recent: list[deque] = [deque(maxlen=CHAIN_DEPTH) for _ in range(n)]
         self._txn_log: deque = deque(maxlen=16 * CHAIN_DEPTH)
-        self._counts = {
-            "accesses": 0, "hits": 0, "traps": 0, "recalls": 0,
-            "messages": 0, "barriers": 0, "directives": 0, "node_done": 0,
-        }
-        self._checks = {
-            "swmr": 0, "dir-cache-agreement": 0, "cico-discipline": 0,
-            "epoch-consistency": 0, "conservation": 0,
-        }
+        # event counts (VerifyReport.events), plain ints: the access and
+        # message handlers bump them on every event
+        self._accesses = 0
+        self._hits = 0
+        self._traps = 0
+        self._recalls = 0
+        self._messages = 0
+        self._barriers = 0
+        self._directives = 0
+        self._node_done = 0
+        # checks run (VerifyReport.checks)
+        self._swmr = 0
+        self._agreement = 0
+        self._cico_checks = 0
+        self._epoch_checks = 0
+        self._conservation = 0
         self.warnings: list[str] = []
         self._finalized = False
+        self._tokens: list[int] = []
+        self._bus: EventBus | None = None
 
     # -------------------------------------------------------------- wiring
-    def subscribe(self, bus: EventBus) -> int:
-        """Listen to every event kind but MISS; returns the primary bus
-        token.
+    def subscribe(self, bus: EventBus) -> None:
+        """Listen to every event kind but MISS, until :meth:`detach`.
 
         The two hot kinds — ACCESS and MESSAGE — get dedicated handlers
-        that skip the dispatch chain entirely; like the catch-all handler
-        they stay registered for the bus's lifetime (nothing unsubscribes
-        a checker mid-run).  MISS is left out: every miss already reaches
-        the checker as an ACCESS event, and subscribing would make the
-        machine publish a second copy of each.
+        that skip the dispatch chain entirely.  MISS is left out: every
+        miss already reaches the checker as an ACCESS event, and
+        subscribing would make the machine publish a second copy of each.
         """
-        bus.subscribe((EventKind.ACCESS,), self._on_access)
-        bus.subscribe((EventKind.MESSAGE,), self._on_message)
         rest = [
             kind for kind in EventKind
             if kind not in (EventKind.ACCESS, EventKind.MESSAGE,
                             EventKind.MISS)
         ]
-        return bus.subscribe(rest, self._handle)
+        self._bus = bus
+        self._tokens += [
+            bus.subscribe((EventKind.ACCESS,), self._on_access),
+            bus.subscribe((EventKind.MESSAGE,), self._on_message),
+            bus.subscribe(rest, self._handle),
+        ]
+
+    def detach(self) -> None:
+        """Drop every subscription :meth:`subscribe` made, so a bus that
+        outlives the run (one a caller shares across runs) stops feeding
+        this checker."""
+        for token in self._tokens:
+            self._bus.unsubscribe(token)
+        self._tokens.clear()
 
     def resume(self, snapshot: dict) -> None:
         """Continue checking a run resumed from barrier ``snapshot``.
@@ -230,18 +248,17 @@ class InvariantChecker:
         vts = snapshot["barrier_vts"]
         self._last_vt = int(vts[-1]) if vts else 0
         self._done = {int(node) for node in snapshot["done"]}
-        counts = self._counts
-        counts["traps"] = proto.proto_stats.sw_traps
-        counts["recalls"] = proto.proto_stats.recalls
-        counts["messages"] = proto.network.total_messages
-        counts["barriers"] = self._epoch
-        counts["node_done"] = len(self._done)
-        counts["hits"] = proto.totals().hits
+        self._traps = proto.proto_stats.sw_traps
+        self._recalls = proto.proto_stats.recalls
+        self._messages = proto.network.total_messages
+        self._barriers = self._epoch
+        self._node_done = len(self._done)
+        self._hits = proto.totals().hits
 
     def _on_message(self, event) -> None:
         # One call per protocol message — second-hottest path.  Count for
         # conservation, log for txn evidence.
-        self._counts["messages"] += event.count
+        self._messages += event.count
         if event.txn >= 0:
             self._txn_log.append(event)
 
@@ -252,13 +269,13 @@ class InvariantChecker:
         elif kind is EventKind.BARRIER:
             self._on_barrier(event)
         elif kind is EventKind.TRAP:
-            self._counts["traps"] += 1
+            self._traps += 1
             self._remember(event.node, event.txn, event)
         elif kind is EventKind.RECALL:
-            self._counts["recalls"] += 1
+            self._recalls += 1
             self._remember(event.node, event.txn, event)
         elif kind is EventKind.NODE_DONE:
-            self._counts["node_done"] += 1
+            self._node_done += 1
             self._done.add(event.node)
             self._remember(event.node, -1, event)
         # lock events only feed the ring buffers
@@ -296,11 +313,10 @@ class InvariantChecker:
         # The hottest handler (one per shared reference), subscribed
         # directly so the bus's dispatch is the only indirection.
         node, epoch, addr, pc, write, _t, result = ev
-        counts = self._counts
-        counts["accesses"] += 1
+        self._accesses += 1
         hit = result.kind is _HIT
         if hit and result.detail != "prefetched":
-            counts["hits"] += 1
+            self._hits += 1
         self._recent[node].append(ev)
         if result.txn >= 0:
             self._txn_log.append(ev)
@@ -312,7 +328,7 @@ class InvariantChecker:
         # line), so those are verified.
         if write or not hit:
             if write:
-                self._checks["swmr"] += 1
+                self._swmr += 1
             finding = check_op(
                 self.protocol, "write" if write else "read", node, block,
             )
@@ -322,7 +338,7 @@ class InvariantChecker:
         # explicitly checked in earlier means a premature check-in.
         marks = self._cico[node]
         if marks and marks.get(block) == _IN:
-            self._checks["cico-discipline"] += 1
+            self._cico_checks += 1
             self._cico_finding(
                 f"node {node} accessed block {block} (pc {pc}) "
                 f"after checking it in — premature check-in",
@@ -339,7 +355,7 @@ class InvariantChecker:
 
     # ---------------------------------------------------------- directives
     def _on_directive(self, ev) -> None:
-        self._counts["directives"] += 1
+        self._directives += 1
         self._remember(ev.node, -1, ev)
         if ev.dkind in (DIR_CHECK_OUT_S, DIR_CHECK_OUT_X):
             mark = _OUT
@@ -370,8 +386,8 @@ class InvariantChecker:
 
     # -------------------------------------------------------------- barrier
     def _on_barrier(self, ev) -> None:
-        self._counts["barriers"] += 1
-        self._checks["epoch-consistency"] += 1
+        self._barriers += 1
+        self._epoch_checks += 1
         if ev.epoch != self._epoch:
             raise VerifyError(
                 "epoch-consistency",
@@ -418,7 +434,7 @@ class InvariantChecker:
         for node, marks in enumerate(self._cico):
             for block, mark in marks.items():
                 if mark == _OUT:
-                    self._checks["cico-discipline"] += 1
+                    self._cico_checks += 1
                     self._cico_finding(
                         f"node {node} checked out block {block} but never "
                         f"checked it in before the barrier",
@@ -428,8 +444,8 @@ class InvariantChecker:
 
     def _scan_state(self, epoch: int) -> None:
         """The whole-state check: directory/cache cross-check + SWMR scan."""
-        self._checks["dir-cache-agreement"] += 1
-        self._checks["swmr"] += 1
+        self._agreement += 1
+        self._swmr += 1
         finding = check_state(self.protocol)
         if finding is not None:
             self._fail(finding, epoch)
@@ -438,15 +454,14 @@ class InvariantChecker:
     def finalize(self, result) -> VerifyReport:
         """Conservation checks against the finished run's counters."""
         self._finalized = True
-        self._checks["conservation"] += 1
-        c = self._counts
+        self._conservation += 1
         pairs = (
-            ("software traps", c["traps"], result.sw_traps),
-            ("recalls", c["recalls"], result.recalls),
-            ("network messages", c["messages"], result.total_messages),
-            ("barriers", c["barriers"], result.epochs),
-            ("node completions", c["node_done"], self.protocol.num_nodes),
-            ("cache hits", c["hits"], result.stats.hits),
+            ("software traps", self._traps, result.sw_traps),
+            ("recalls", self._recalls, result.recalls),
+            ("network messages", self._messages, result.total_messages),
+            ("barriers", self._barriers, result.epochs),
+            ("node completions", self._node_done, self.protocol.num_nodes),
+            ("cache hits", self._hits, result.stats.hits),
         )
         for what, observed, counted in pairs:
             if observed != counted:
@@ -461,8 +476,23 @@ class InvariantChecker:
         return VerifyReport(
             label=self.label,
             ok=True,
-            checks=dict(self._checks),
-            events=dict(self._counts),
+            checks={
+                "swmr": self._swmr,
+                "dir-cache-agreement": self._agreement,
+                "cico-discipline": self._cico_checks,
+                "epoch-consistency": self._epoch_checks,
+                "conservation": self._conservation,
+            },
+            events={
+                "accesses": self._accesses,
+                "hits": self._hits,
+                "traps": self._traps,
+                "recalls": self._recalls,
+                "messages": self._messages,
+                "barriers": self._barriers,
+                "directives": self._directives,
+                "node_done": self._node_done,
+            },
             warnings=list(self.warnings),
         )
 

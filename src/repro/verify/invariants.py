@@ -30,6 +30,11 @@ The invariant names, the same in every consumer:
     After ``check_out_S``/``check_out_X`` the issuer holds the block
     (EXCLUSIVE for X); after ``check_in`` it no longer does.  Prefetches
     are non-binding hints and have no post-condition.
+``residency-count``
+    At rest, the protocol's per-block residency count
+    (``proto.residency``, kept by the caches) equals the number of caches
+    holding each block.  The per-write SWMR check reads that count, so a
+    count that drifts is a finding of its own.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class Finding(NamedTuple):
 def check_state(proto) -> Finding | None:
     """The whole-state check: every directory entry well formed and
     agreeing with the caches in both directions, then no EXCLUSIVE copy
-    beside another copy."""
+    beside another copy, then every residency count matching the lines
+    the caches hold."""
     caches = proto.caches
     directory = proto.directory
     for block, entry in directory.entries().items():
@@ -107,6 +113,17 @@ def check_state(proto) -> Finding | None:
                 f"copies",
                 nodes[0], block,
             )
+    residency = proto.residency
+    for block in (*holders, *residency):
+        counted = residency.get(block, 0)
+        held = len(holders.get(block, ()))
+        if counted != held:
+            return Finding(
+                "residency-count",
+                f"block {block} has a residency count of {counted} but "
+                f"{held} cache(s) hold it",
+                None, block,
+            )
     return None
 
 
@@ -139,19 +156,14 @@ def check_op(
                 f"exclusive owner, found {format_dir_entry(entry)}",
                 node, block,
             )
-        # Every cache has the writer's geometry: one set index serves all.
-        # The writer holds the block (checked above), so one holder means
-        # no other copy; only a second holder needs naming.
-        caches = proto.caches
-        index = caches[node].set_index(block)
-        holders = 0
-        for cache in caches:
-            if block in cache.sets[index]:
-                holders += 1
-        if holders == 1:
+        # The writer holds the block (checked above), so a residency
+        # count of one means no other copy; only a second holder needs
+        # the caches walked, to name it.  A count that disagrees with
+        # the caches is caught by check_state at the next barrier.
+        if proto.residency.get(block, 0) == 1:
             return None
-        for other, cache in enumerate(caches):
-            if other != node and block in cache.sets[index]:
+        for other, cache in enumerate(proto.caches):
+            if other != node and cache.lookup(block) is not None:
                 return Finding(
                     "swmr",
                     f"node {other} still holds a copy "
