@@ -115,6 +115,9 @@ def _run_machine(
         if checker is not None:
             exc.report = checker.failure_report(exc)
         raise
+    finally:
+        if checker is not None:
+            checker.detach()  # the bus may be a caller's, shared across runs
     if checker is not None:
         result.extra["verify_report"] = checker.finalize(result)
     if machine.faults is not None:
@@ -145,7 +148,7 @@ def trace_program(
         num_nodes=config.num_nodes,
     )
     bus = observer.bus if observer is not None else EventBus()
-    collector.subscribe(bus)
+    tokens = collector.subscribe(bus)
     machine = Machine(
         config, bus=bus, flush_at_barrier=True,
         faults=make_injector(faults_seed),
@@ -157,13 +160,17 @@ def trace_program(
             protocol=machine.protocol,
         )
     interp = Interpreter(program, store, params_fn=params_fn)
-    result = _run_machine(
-        machine, store, interp.kernel, observer=observer,
-        verify=verify, strict_verify=strict_verify,
-        verify_label=f"{program.name}/trace",
-        checkpoint_dir=None, checkpoint_name=program.name, flavor="trace",
-        resume=False,
-    )
+    try:
+        result = _run_machine(
+            machine, store, interp.kernel, observer=observer,
+            verify=verify, strict_verify=strict_verify,
+            verify_label=f"{program.name}/trace",
+            checkpoint_dir=None, checkpoint_name=program.name,
+            flavor="trace", resume=False,
+        )
+    finally:
+        for token in tokens:
+            bus.unsubscribe(token)
     if observer is not None:
         observer.finalize(result)
     return collector.finish()

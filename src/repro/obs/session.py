@@ -3,7 +3,8 @@
 :class:`Observer` is the one-stop object the harness and CLIs use: it owns
 an :class:`~repro.obs.events.EventBus`, populates a
 :class:`~repro.obs.metrics.MetricsRegistry` from the simulator's events
-(and its hit count from the protocol's counters), snapshots it per epoch into an :class:`~repro.obs.timeline.EpochTimeline`,
+(and its hit and message counts from the protocol's counters),
+snapshots it per epoch into an :class:`~repro.obs.timeline.EpochTimeline`,
 and, when asked to (``chrome=True``), records Chrome trace events — one
 timeline track per node, epoch markers at every barrier, spans for misses,
 directives and lock waits.  After the run, :meth:`Observer.finalize`
@@ -126,12 +127,19 @@ class Observer:
     only with ``include_hits`` (hit spans); its metrics and miss spans
     read MISS.  The ledger reads ACCESS only with ``profile``, and only
     while a checked-out (node, block) pair is still unreferenced.
-    ``accesses.hit`` comes from the protocol bound by :meth:`bind_run`
-    (``Dir1SWProtocol.hits()``, prefetched hits included), read at every
-    barrier before the timeline samples and at :meth:`finalize`; it
-    counts from the start of the run, or from the checkpoint a run
-    resumed from (:meth:`resume`), as the miss counters do.  An observer
-    whose run was never bound to a protocol reports no hits.
+    ``accesses.hit``, ``messages`` and ``messages.<kind>`` come from the
+    protocol bound by :meth:`bind_run` (``Dir1SWProtocol.hits()``,
+    prefetched hits included, and its network's
+    ``traffic_by_kind()``), read at every barrier before the timeline
+    samples and at :meth:`finalize`; they count from the start of the
+    run, or from the checkpoint a run resumed from (:meth:`resume`), as
+    the miss counters do.  The observer reads MESSAGE only with
+    ``chrome``, for the flow arrows.  An observer whose run was never
+    bound to a protocol reports no hits and no messages.
+
+    A shared bus and registry are safe across runs: :meth:`finalize`
+    detaches the observer, and each run's counters add to what the
+    registry held when its run was bound.
     """
 
     def __init__(
@@ -160,10 +168,16 @@ class Observer:
         self._critpath = critpath
         self.ledger = None  # StallLedger, set by bind_run
         self._tokens: list[int] = []
-        # accesses.hit is _hits0 plus the protocol's hits since _proto_hits0
+        # accesses.hit and the message counters are the protocol's counts
+        # since resume(), on top of what the registry held then: hits are
+        # _hits0 plus the hits since _proto_hits0, messages.<kind> is
+        # _kinds0[kind] plus the kind's traffic since _traffic0
         self._protocol = None
         self._hits0 = 0
         self._proto_hits0 = 0
+        self._messages0 = 0
+        self._kinds0: dict[MessageKind, int] = {}
+        self._traffic0: dict[MessageKind, int] = {}
         # chrome-mode flow bookkeeping: slow-path events by requesting node,
         # consumed by the enclosing access/directive span (the protocol
         # publishes them synchronously inside the operation)
@@ -194,7 +208,7 @@ class Observer:
         self._c_recalls = reg.counter("recalls")
         self._c_recalls_dirty = reg.counter("recalls.dirty")
         self._c_messages = reg.counter("messages")
-        # messages.<kind> counters are created when a kind is first seen
+        # messages.<kind> counters are created when a kind is first sent
         self._c_message_kinds: dict[MessageKind, Counter] = {}
         self._c_nodes_done = reg.counter("nodes_done")
 
@@ -206,10 +220,11 @@ class Observer:
                  EventKind.LOCK_RELEASE), self._on_lock),
             sub((EventKind.TRAP,), self._on_trap),
             sub((EventKind.RECALL,), self._on_recall),
-            sub((EventKind.MESSAGE,), self._on_message),
             sub((EventKind.NODE_DONE,), self._on_node_done),
             sub((EventKind.BARRIER,), self._on_barrier),
         ]
+        if chrome:  # the flow arrows join each transaction's messages
+            self._tokens.append(sub((EventKind.MESSAGE,), self._on_message))
         if include_hits:
             self._tokens.append(sub((EventKind.ACCESS,), self._on_access))
         # The timeline subscribes *after* the metric handlers so each epoch
@@ -273,7 +288,7 @@ class Observer:
             self._emit_flows(ev.node, ev.t, ev.cycles)
 
     def _on_barrier(self, ev: BarrierEvent) -> None:
-        self._read_hits()  # before the timeline samples the registry
+        self._read_counts()  # before the timeline samples the registry
         self._c_barriers.inc()
         self._h_epoch.observe(ev.vt - (self.timeline._prev_vt))
         if self._chrome:
@@ -326,14 +341,8 @@ class Observer:
             self._pend_coh.setdefault(ev.node, []).append(ev)
 
     def _on_message(self, ev: MessageEvent) -> None:
-        self._c_messages.value += ev.count
-        counter = self._c_message_kinds.get(ev.msg)
-        if counter is None:
-            counter = self._c_message_kinds[ev.msg] = self.registry.counter(
-                f"messages.{ev.msg.value}"
-            )
-        counter.value += ev.count
-        if self._chrome and ev.txn >= 0:
+        # subscribed only with chrome; the counters come from the network
+        if ev.txn >= 0:
             self._pend_msgs.setdefault(ev.node, []).append(ev)
 
     def _on_node_done(self, ev: NodeDoneEvent) -> None:
@@ -406,12 +415,26 @@ class Observer:
                         "pid": node, "tid": node})
 
     # ------------------------------------------------------------ lifecycle
-    def _read_hits(self) -> int:
-        """Set ``accesses.hit`` from the protocol; returns the run's hits."""
-        if self._protocol is None:
+    def _read_counts(self) -> int:
+        """Set ``accesses.hit``, ``messages`` and ``messages.<kind>`` from
+        the protocol and its network; returns the run's hits."""
+        proto = self._protocol
+        if proto is None:
             return 0
-        hits = self._protocol.hits() - self._proto_hits0
+        hits = proto.hits() - self._proto_hits0
         self._c_hits.value = self._hits0 + hits
+        traffic0 = self._traffic0
+        sent = 0
+        for kind, count in proto.network.traffic_by_kind().items():
+            count -= traffic0.get(kind, 0)
+            if count:  # a kind's counter exists once it was sent
+                sent += count
+                counter = self._c_message_kinds.get(kind)
+                if counter is None:
+                    counter = self._c_message_kinds[kind] = (
+                        self.registry.counter(f"messages.{kind.value}"))
+                counter.value = self._kinds0.get(kind, 0) + count
+        self._c_messages.value = self._messages0 + sent
         return hits
 
     def bind_run(
@@ -452,10 +475,18 @@ class Observer:
         self.ledger.attach(self.bus)
 
     def resume(self) -> None:
-        """Count hits from here on: call once the machine has restored the
-        checkpoint a run resumes from (the runner does)."""
+        """Count hits and messages from here on: call once the machine has
+        restored the checkpoint a run resumes from (the runner does)."""
+        proto = self._protocol
         self._hits0 = self._c_hits.value
-        self._proto_hits0 = self._protocol.hits()
+        self._proto_hits0 = proto.hits()
+        self._messages0 = self._c_messages.value
+        self._traffic0 = proto.network.traffic_by_kind()
+        get = self.registry.get
+        self._kinds0 = {
+            kind: counter.value for kind in MessageKind
+            if (counter := get(f"messages.{kind.value}")) is not None
+        }
 
     def detach(self) -> None:
         """Drop every subscription this observer and its ledger hold on
@@ -467,8 +498,10 @@ class Observer:
             self.ledger.detach()
 
     def finalize(self, result) -> Observation:
-        """Freeze the observation and attach it to ``result.obs``."""
-        hits = self._read_hits()
+        """Freeze the observation, attach it to ``result.obs`` and
+        :meth:`detach`: a bus shared across runs feeds a finalized
+        observer nothing more."""
+        hits = self._read_counts()
         self.timeline.finalize(result.cycles)
         attrib = critpath = None
         if self.ledger is not None:
@@ -494,4 +527,5 @@ class Observer:
         )
         self.observation = obs
         result.obs = obs
+        self.detach()
         return obs
