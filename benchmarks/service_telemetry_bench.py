@@ -3,37 +3,45 @@
 Measures the cached-submission round trip — the daemon's hottest path:
 one HTTP POST, one ledger lookup, zero simulator cycles — against two
 in-process daemons, one with telemetry collecting and one with
-``--no-telemetry``, and asserts the relative overhead stays under a
-threshold (CI pins 5%).
+``--no-telemetry``, and fails when telemetry costs more than a threshold
+(CI pins 5%).
 
-Each mode warms its cache with one real annotate job, then times
-``--requests`` cached submissions per batch.  The per-request cost is the
-*minimum over batches* (the standard floor-of-noise estimator: scheduling
-jitter only ever adds time), so a single noisy batch cannot fail the
-guard spuriously.
+Both daemons run at once, each warmed with one real annotate job.  The
+guard then times ``--pairs`` pairs of batches of ``--requests`` cached
+submissions, one batch per daemon, alternating which goes first, and
+judges the pairs with :func:`paired_guard.paired_verdict` (compare.py's
+rule): telemetry is over budget only when its batch is slower in at
+least 9 of every 10 pairs *and* the median pair's overhead exceeds the
+threshold.  Host drift hits both halves of a pair alike, so the verdict
+holds on a loaded host where one minimum per mode did not.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/service_telemetry_bench.py \
-        --requests 200 --batches 3 --threshold 0.05
+    PYTHONPATH=src python benchmarks/service_telemetry_bench.py \\
+        --requests 200 --pairs 10 --threshold 0.05
 
-Prints a JSON summary to stdout; exits 1 when the overhead exceeds the
-threshold.
+Prints a JSON summary to stdout; exits 1 when telemetry is over budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import statistics
 import sys
 import tempfile
 import time
 
+from paired_guard import paired_verdict
+
 WORKLOAD = "matmul_racing"
 
 
-def _measure_mode(telemetry: bool, requests: int, batches: int) -> dict:
-    """Per-request cached round-trip seconds for one daemon mode."""
+@contextlib.contextmanager
+def _daemon(telemetry: bool):
+    """An in-process daemon whose cache holds one annotate job; yields a
+    submit function for that job (every call a pure cache hit)."""
     from repro.service.app import serve_background
     from repro.service.client import ServiceClient
     from repro.service.queue import JobQueue, ServiceConfig
@@ -50,24 +58,21 @@ def _measure_mode(telemetry: bool, requests: int, batches: int) -> dict:
             payload = client.submit("annotate", params)
             if not payload["cached"]:
                 client.wait(payload["id"], timeout=120.0)
-            # every request from here on is a pure cache hit
             assert client.submit("annotate", params)["cached"]
-            batch_s = []
-            for _ in range(batches):
-                start = time.perf_counter()
-                for _ in range(requests):
-                    client.submit("annotate", params)
-                batch_s.append(time.perf_counter() - start)
+            yield lambda: client.submit("annotate", params)
         finally:
             client.close()
             server.shutdown()
             server.server_close()
             queue.stop()
-    return {
-        "telemetry": telemetry,
-        "batches_s": [round(b, 6) for b in batch_s],
-        "per_request_s": min(batch_s) / requests,
-    }
+
+
+def _batch(submit, requests: int) -> float:
+    """Seconds per request over one batch of cached submissions."""
+    start = time.perf_counter()
+    for _ in range(requests):
+        submit()
+    return (time.perf_counter() - start) / requests
 
 
 def main(argv=None) -> int:
@@ -76,32 +81,39 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--requests", type=int, default=200,
                         help="cached submissions per batch (default 200)")
-    parser.add_argument("--batches", type=int, default=3,
-                        help="batches per mode; min wins (default 3)")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of batches, one per mode (default 10)")
     parser.add_argument("--threshold", type=float, default=0.05,
                         help="max tolerated relative overhead (default 0.05)")
     args = parser.parse_args(argv)
 
-    off = _measure_mode(False, args.requests, args.batches)
-    on = _measure_mode(True, args.requests, args.batches)
-    overhead = on["per_request_s"] / off["per_request_s"] - 1.0
+    per_request: dict[bool, list[float]] = {False: [], True: []}
+    with _daemon(False) as submit_off, _daemon(True) as submit_on:
+        submit = {False: submit_off, True: submit_on}
+        for i in range(args.pairs):
+            for telemetry in ((False, True) if i % 2 == 0 else (True, False)):
+                per_request[telemetry].append(
+                    _batch(submit[telemetry], args.requests))
+    off, on = per_request[False], per_request[True]
+    verdict = paired_verdict(off, on, args.threshold)
     summary = {
         "workload": WORKLOAD,
         "requests_per_batch": args.requests,
-        "batches": args.batches,
-        "telemetry_off_us": round(off["per_request_s"] * 1e6, 2),
-        "telemetry_on_us": round(on["per_request_s"] * 1e6, 2),
-        "overhead_frac": round(overhead, 4),
+        "telemetry_off_us": round(statistics.median(off) * 1e6, 2),
+        "telemetry_on_us": round(statistics.median(on) * 1e6, 2),
+        "overhead_frac": verdict["median_overhead_frac"],
         "threshold_frac": args.threshold,
-        "ok": overhead <= args.threshold,
-        "modes": [off, on],
+        **verdict,
+        "off_us": [round(v * 1e6, 2) for v in off],
+        "on_us": [round(v * 1e6, 2) for v in on],
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     if not summary["ok"]:
         print(
-            f"telemetry overhead {overhead:.1%} exceeds the "
-            f"{args.threshold:.0%} budget", file=sys.stderr,
+            f"telemetry overhead {summary['overhead_frac']:.1%} (median of "
+            f"{args.pairs} pairs, on slower in {verdict['on_slower']}) "
+            f"exceeds the {args.threshold:.0%} budget", file=sys.stderr,
         )
         return 1
     return 0

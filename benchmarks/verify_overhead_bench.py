@@ -6,31 +6,33 @@ numbers justify the flip, and this bench measures both:
 * **The gate (<10%, CI-enforced): a cached service round trip.**  The
   service memoizes job results by content hash, so verification executes
   once per unique job; every later submission of the same job is served
-  from the artifact cache.  The guard submits an identical bench job to a
-  fresh in-process :class:`~repro.service.queue.JobQueue` twice, times
-  the second (cache-hit) round trip with verification on vs off, and
-  asserts the verified flavour adds less than ``--threshold`` (plus a
-  1 ms absolute floor — cache hits are sub-millisecond, where pure ratio
-  would amplify scheduler noise).  This pins the design property that
-  verification cost never leaks into the cache-hit path: a naive service
-  that re-verified artifacts on every serve would fail here.
+  from the artifact cache.  The guard runs two in-process job queues
+  (:class:`~repro.service.queue.JobQueue`) at once, one per mode, each
+  holding the same bench job (run once, outside the clock), and times
+  cache-hit round trips of the job with verification on vs off.  The
+  verified flavour may add ``--threshold`` plus a 1 ms absolute floor
+  (cache hits are sub-millisecond, where a pure ratio would amplify
+  scheduler noise).  This pins the design property that verification
+  cost never leaks into the cache-hit path: a naive service that
+  re-verified artifacts on every serve would fail here.
 
-* **Informational: the cold (first-execution) overhead.**  One
-  ``bench_workload`` run with the checker vs without, reported as
-  ``cold_overhead_frac`` with a lenient ``--cold-threshold`` backstop
-  (default 35%) so a pathological regression still fails even though the
-  honest steady-state number is the cached one.
+* **The backstop (35%): the cold (first-execution) overhead.**  One
+  ``bench_workload`` run with the checker vs without, a pair per round,
+  so that a pathological regression still fails even though the honest
+  steady-state number is the cached one.
 
-Cold rounds interleave the modes (off, then on, back to back per round)
-and the median of per-round ratios wins — minutes-scale machine drift
-hits both modes of a round equally, so the ratio survives load the raw
-minima do not.  All timings are process CPU time, immune to co-tenant
+Both alternate the modes within one run, one pair at a time (which mode
+goes first alternates too), and judge the pairs with
+:func:`paired_guard.paired_verdict` — compare.py's rule: a guard fails
+only when the verified mode is slower in at least 9 of every 10 pairs
+*and* the median pair exceeds the budget.  Host drift hits both halves
+of a pair alike.  All timings are process CPU time, immune to co-tenant
 wall-clock stalls.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/verify_overhead_bench.py \
-        --workload mp3d --repeats 4 --threshold 0.10
+    PYTHONPATH=src python benchmarks/verify_overhead_bench.py \\
+        --workload mp3d --pairs 10 --repeats 6 --threshold 0.10
 
 Prints a JSON summary to stdout; exits 1 when a guard fails.
 """
@@ -38,6 +40,7 @@ Prints a JSON summary to stdout; exits 1 when a guard fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import statistics
@@ -45,40 +48,45 @@ import sys
 import tempfile
 import time
 
+from paired_guard import paired_verdict
+
 #: absolute tolerance added to the cached-round-trip gate: cache hits are
 #: sub-millisecond, where a pure ratio would amplify scheduler noise into
 #: spurious failures
 CACHED_FLOOR_S = 0.001
 
 
-def _cached_roundtrip(workload: str, verify: bool, hits: int) -> float:
-    """Best CPU time of a cache-hit bench-job round trip (cold run first,
-    outside the clock)."""
+@contextlib.contextmanager
+def _cached_job(workload: str, verify: bool):
+    """A job queue whose cache holds the bench job; yields a function that
+    times ``hits`` cache-hit round trips and returns CPU s per trip."""
     from repro.service.queue import JobQueue, ServiceConfig
 
     data_dir = tempfile.mkdtemp(prefix="verify-bench-")
+    queue = JobQueue(ServiceConfig(data_dir=data_dir))
+    params = {"workload": workload, "verify": verify}
     try:
-        queue = JobQueue(ServiceConfig(data_dir=data_dir))
         queue.start()
-        queue.submit("bench", {"workload": workload, "verify": verify})
+        queue.submit("bench", params)
         queue.drain(timeout=600)
-        times = []
-        for _ in range(hits):
+
+        def round_trips(hits: int) -> float:
             start = time.process_time()
-            submitted = queue.submit(
-                "bench", {"workload": workload, "verify": verify}
-            )
-            queue.drain(timeout=60)
-            times.append(time.process_time() - start)
-        if not submitted["cached"]:
-            raise RuntimeError("re-submission was not served from cache")
-        queue.stop()
-        return min(times)
+            for _ in range(hits):
+                submitted = queue.submit("bench", params)
+                queue.drain(timeout=60)
+            elapsed = time.process_time() - start
+            if not submitted["cached"]:
+                raise RuntimeError("re-submission was not served from cache")
+            return elapsed / hits
+
+        yield round_trips
     finally:
+        queue.stop()
         shutil.rmtree(data_dir, ignore_errors=True)
 
 
-def _timed(workload: str, verify: bool) -> float:
+def _cold_run(workload: str, verify: bool) -> float:
     from repro.obs.baseline import bench_workload
 
     start = time.process_time()
@@ -86,14 +94,14 @@ def _timed(workload: str, verify: bool) -> float:
     return time.process_time() - start
 
 
-def _cold_overhead(workload: str, repeats: int) -> float:
-    """Median per-round overhead ratio of verify-on over verify-off."""
-    _timed(workload, verify=False)  # warm imports/caches outside the clock
-    on_ratios = []
-    for _ in range(repeats):
-        off = _timed(workload, verify=False)
-        on_ratios.append(_timed(workload, verify=True) / off - 1.0)
-    return round(statistics.median(on_ratios), 4)
+def _pairs(measure, pairs: int) -> tuple[list[float], list[float]]:
+    """``measure(verify)`` for each mode, ``pairs`` times, alternating
+    which mode goes first; returns the (off, on) series."""
+    out: dict[bool, list[float]] = {False: [], True: []}
+    for i in range(pairs):
+        for verify in ((False, True) if i % 2 == 0 else (True, False)):
+            out[verify].append(measure(verify))
+    return out[False], out[True]
 
 
 def main(argv=None) -> int:
@@ -103,10 +111,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--workload", default="mp3d",
                         help="Figure-6 workload to bench (default mp3d)")
-    parser.add_argument("--repeats", type=int, default=4,
-                        help="interleaved cold rounds; median ratio wins")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of cache-hit batches (default 10)")
     parser.add_argument("--hits", type=int, default=5,
-                        help="cache-hit round trips per mode; min wins")
+                        help="cache-hit round trips per batch (default 5)")
+    parser.add_argument("--repeats", type=int, default=6,
+                        help="pairs of cold runs (default 6)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="max tolerated cached-round-trip overhead "
                              "(default 0.10)")
@@ -115,38 +125,50 @@ def main(argv=None) -> int:
                              "(default 0.35)")
     args = parser.parse_args(argv)
 
-    cached_off = _cached_roundtrip(args.workload, False, args.hits)
-    cached_on = _cached_roundtrip(args.workload, True, args.hits)
-    cached_budget = cached_off * (1.0 + args.threshold) + CACHED_FLOOR_S
-    cold = _cold_overhead(args.workload, args.repeats)
-    cached_ok = cached_on <= cached_budget
-    cold_ok = cold <= args.cold_threshold
+    with _cached_job(args.workload, False) as trips_off, \
+            _cached_job(args.workload, True) as trips_on:
+        trips = {False: trips_off, True: trips_on}
+        cached_off, cached_on = _pairs(
+            lambda verify: trips[verify](args.hits), args.pairs)
+    cached = paired_verdict(cached_off, cached_on, args.threshold,
+                            CACHED_FLOOR_S)
+    _cold_run(args.workload, verify=False)  # warm imports outside the clock
+    cold_off, cold_on = _pairs(
+        lambda verify: _cold_run(args.workload, verify), args.repeats)
+    cold = paired_verdict(cold_off, cold_on, args.cold_threshold)
     summary = {
         "workload": args.workload,
-        "cached_off_s": round(cached_off, 6),
-        "cached_on_s": round(cached_on, 6),
-        "cached_budget_s": round(cached_budget, 6),
-        "cached_overhead_frac": round(cached_on / cached_off - 1.0, 4),
+        "cached_off_s": round(statistics.median(cached_off), 6),
+        "cached_on_s": round(statistics.median(cached_on), 6),
+        "cached_overhead_frac": cached["median_overhead_frac"],
+        "cached_on_slower": cached["on_slower"],
+        "cached_pairs": cached["pairs"],
         "threshold_frac": args.threshold,
         "cold_threshold_frac": args.cold_threshold,
-        "cached_ok": cached_ok,
-        "cold_ok": cold_ok,
-        "ok": cached_ok and cold_ok,
-        "cold_overhead_frac": cold,
+        "cached_ok": cached["ok"],
+        "cold_ok": cold["ok"],
+        "ok": cached["ok"] and cold["ok"],
+        "cold_overhead_frac": cold["median_overhead_frac"],
+        "cold_on_slower": cold["on_slower"],
+        "cold_pairs": cold["pairs"],
+        "cold_off_s": [round(v, 4) for v in cold_off],
+        "cold_on_s": [round(v, 4) for v in cold_on],
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if not cached_ok:
+    if not cached["ok"]:
         print(
-            f"verified cache-hit round trip {cached_on * 1e3:.2f}ms exceeds "
-            f"budget {cached_budget * 1e3:.2f}ms "
-            f"({args.threshold:.0%} + {CACHED_FLOOR_S * 1e3:.0f}ms floor)",
+            f"verified cache-hit round trip exceeds its budget "
+            f"({args.threshold:.0%} + {CACHED_FLOOR_S * 1e3:.0f}ms floor) in "
+            f"the median of {cached['pairs']} pairs, slower in "
+            f"{cached['on_slower']}: {cached['median_overhead_frac']:+.1%}",
             file=sys.stderr,
         )
-    if not cold_ok:
+    if not cold["ok"]:
         print(
-            f"cold verify overhead {cold:.1%} exceeds "
-            f"the {args.cold_threshold:.0%} backstop", file=sys.stderr,
+            f"cold verify overhead {cold['median_overhead_frac']:.1%} "
+            f"(median of {cold['pairs']} pairs) exceeds the "
+            f"{args.cold_threshold:.0%} backstop", file=sys.stderr,
         )
     return 0 if summary["ok"] else 1
 

@@ -1,9 +1,11 @@
 """Dir1SW protocol engine: caches + directory + network + cost model.
 
-This is the layer the simulated machine talks to.  Every shared reference of
-every node funnels through :meth:`Dir1SWProtocol.read` /
-:meth:`Dir1SWProtocol.write`; CICO directives arrive via
-:meth:`check_out`, :meth:`check_in`, and :meth:`prefetch`.
+This is the layer the simulated machine talks to.  :meth:`Dir1SWProtocol.read`
+and :meth:`Dir1SWProtocol.write` define the outcome of every shared
+reference; the machine resolves plain hits itself by the rule
+:meth:`Dir1SWProtocol.hit_path` documents and sends every other reference
+here.  CICO directives arrive via :meth:`check_out`, :meth:`check_in`, and
+:meth:`prefetch`.
 
 Design notes
 ------------

@@ -49,7 +49,7 @@ from repro.obs.events import (
     RecallEvent,
     TrapEvent,
 )
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import EpochSample, EpochTimeline
 
 #: Miss-latency buckets sized to the default cost model: hits (1), directive
@@ -209,7 +209,6 @@ class Observer:
         self._c_recalls_dirty = reg.counter("recalls.dirty")
         self._c_messages = reg.counter("messages")
         # messages.<kind> counters are created when a kind is first sent
-        self._c_message_kinds: dict[MessageKind, Counter] = {}
         self._c_nodes_done = reg.counter("nodes_done")
 
         sub = self.bus.subscribe
@@ -270,8 +269,8 @@ class Observer:
         self._emit_flows(ev.node, ev.t, result.cycles)
 
     def _on_directive(self, ev: DirectiveEvent) -> None:
-        # directives and messages are the busiest topics after the
-        # accesses: bump the counters in place, as Counter.inc would
+        # directives are the busiest topic the observer reads: bump the
+        # counters in place, as Counter.inc would
         self._c_directives[ev.dkind].value += 1
         self._c_directive_blocks.value += ev.blocks
         if self._chrome:
@@ -427,13 +426,10 @@ class Observer:
         sent = 0
         for kind, count in proto.network.traffic_by_kind().items():
             count -= traffic0.get(kind, 0)
-            if count:  # a kind's counter exists once it was sent
+            if count:
                 sent += count
-                counter = self._c_message_kinds.get(kind)
-                if counter is None:
-                    counter = self._c_message_kinds[kind] = (
-                        self.registry.counter(f"messages.{kind.value}"))
-                counter.value = self._kinds0.get(kind, 0) + count
+                self.registry.counter(f"messages.{kind.value}").value = (
+                    self._kinds0.get(kind, 0) + count)
         self._c_messages.value = self._messages0 + sent
         return hits
 

@@ -200,7 +200,6 @@ class InvariantChecker:
         self._epoch_checks = 0
         self._conservation = 0
         self.warnings: list[str] = []
-        self._finalized = False
         self._tokens: list[int] = []
         self._bus: EventBus | None = None
 
@@ -453,7 +452,6 @@ class InvariantChecker:
     # ------------------------------------------------------------- finalize
     def finalize(self, result) -> VerifyReport:
         """Conservation checks against the finished run's counters."""
-        self._finalized = True
         self._conservation += 1
         pairs = (
             ("software traps", self._traps, result.sw_traps),

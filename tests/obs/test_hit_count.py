@@ -1,13 +1,17 @@
-"""``accesses.hit`` comes from the protocol's counters, not from events.
+"""``accesses.hit`` and the message counters come from the protocol's
+counters, not from events.
 
-The Observer reads no ACCESS event for its hit counter: it reads the
-protocol's hits (prefetched hits included) at every barrier, before the
-epoch timeline takes its sample, and at finalize.  Every sample must
-still show what a subscriber counting HIT outcomes on ACCESS counts at
-the same point, including on a run with prefetched hits, on a write fault
-that consumes a shared prefetch (a prefetch "use" that is not a hit), and
-on a run resumed from a checkpoint, which counts from the resume point as
-the miss counters do.
+The Observer reads no ACCESS event for its hit counter and no MESSAGE
+event for ``messages`` and ``messages.<kind>``: it reads the protocol's
+hits (prefetched hits included) and its network's traffic at every
+barrier, before the epoch timeline takes its sample, and at finalize.
+Every sample must still show what a subscriber counting HIT outcomes on
+ACCESS, and messages on MESSAGE, counts at the same point, including on
+a run with prefetched hits, on a write fault that consumes a shared
+prefetch (a prefetch "use" that is not a hit), on a fault-injected run
+whose duplicated messages count as extra traffic, and on a run resumed
+from a checkpoint, which counts from the resume point as the miss
+counters do.
 """
 
 from __future__ import annotations
@@ -44,13 +48,16 @@ s = A[0] + A[1] + B[0]
 
 
 class HitCounter:
-    """Counts HIT outcomes on ACCESS, noting the count at each barrier."""
+    """Counts HIT outcomes on ACCESS and messages by kind on MESSAGE,
+    noting the counts at each barrier."""
 
     def __init__(self, bus) -> None:
         self.hits = 0
         self.prefetched = 0
-        self.at_barriers: list[int] = []
+        self.messages: dict[str, int] = {}
+        self.at_barriers: list[tuple[int, dict[str, int]]] = []
         bus.subscribe((EventKind.ACCESS,), self._on_access)
+        bus.subscribe((EventKind.MESSAGE,), self._on_message)
         bus.subscribe((EventKind.BARRIER,), self._on_barrier)
 
     def _on_access(self, ev) -> None:
@@ -58,8 +65,12 @@ class HitCounter:
             self.hits += 1
             self.prefetched += ev.result.detail == "prefetched"
 
+    def _on_message(self, ev) -> None:
+        kind = ev.msg.value
+        self.messages[kind] = self.messages.get(kind, 0) + ev.count
+
     def _on_barrier(self, _ev) -> None:
-        self.at_barriers.append(self.hits)
+        self.at_barriers.append((self.hits, dict(self.messages)))
 
 
 def _observed(program, config, params_fn=None, **run_kw):
@@ -70,11 +81,20 @@ def _observed(program, config, params_fn=None, **run_kw):
     return result, observer.observation, counter
 
 
+def _counts(snapshot: dict) -> tuple[int, dict[str, int]]:
+    """A metrics snapshot's hit count and message counters by kind."""
+    kinds = {name.split(".", 1)[1]: value for name, value in snapshot.items()
+             if name.startswith("messages.")}
+    assert snapshot["messages"] == sum(kinds.values())
+    return snapshot["accesses.hit"], kinds
+
+
 def _assert_samples_match(obs, counter) -> None:
-    samples = [s.snapshot["accesses.hit"] for s in obs.timeline]
+    samples = [_counts(s.snapshot) for s in obs.timeline]
     final = obs.timeline[-1].final
-    assert samples == counter.at_barriers + ([counter.hits] if final else [])
-    assert obs.metric("accesses.hit") == counter.hits
+    totals = (counter.hits, counter.messages)
+    assert samples == counter.at_barriers + ([totals] if final else [])
+    assert _counts(obs.metrics) == totals
 
 
 def test_prefetched_hits_count():
@@ -106,6 +126,15 @@ def test_write_fault_on_an_inflight_prefetch_is_no_hit():
     _assert_samples_match(obs, counter)
 
 
+def test_fault_injected_run_counts_duplicate_messages():
+    spec = get_workload("mp3d", **MP3D)
+    result, obs, counter = _observed(spec.program, spec.config,
+                                     spec.params_fn, faults_seed=1789)
+    assert result.extra["fault_stats"]["duplicated"] > 0
+    assert obs.metric("messages") == result.total_messages
+    _assert_samples_match(obs, counter)
+
+
 class _Killed(Exception):
     """Stands in for a kill right after a checkpoint was written."""
 
@@ -133,4 +162,5 @@ def test_resumed_run_counts_from_the_resume_point(monkeypatch, tmp_path):
     )
     assert resumed.cycles == full.cycles
     assert 0 < counter.hits < full_obs.metric("accesses.hit")
+    assert 0 < obs.metric("messages") < full_obs.metric("messages")
     _assert_samples_match(obs, counter)
