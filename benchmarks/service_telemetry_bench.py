@@ -8,17 +8,21 @@ in-process daemons, one with telemetry collecting and one with
 
 Both daemons run at once, each warmed with one real annotate job.  The
 guard then times ``--pairs`` pairs of batches of ``--requests`` cached
-submissions, one batch per daemon, alternating which goes first, and
-judges the pairs with :func:`paired_guard.paired_verdict` (compare.py's
-rule): telemetry is over budget only when its batch is slower in at
-least 9 of every 10 pairs *and* the median pair's overhead exceeds the
-threshold.  Host drift hits both halves of a pair alike, so the verdict
-holds on a loaded host where one minimum per mode did not.
+submissions, one batch per daemon, the two batches of a pair interleaved
+request by request (:func:`paired_guard.paired_times`, process CPU
+time).  A handler records its telemetry after it has sent the response,
+so each request is followed by a short sleep inside its timing that lets
+its daemon finish it.  The pairs are judged with
+:func:`paired_guard.paired_verdict` (compare.py's rule): telemetry is
+over budget only when its batch is slower in at least 9 of every 10
+pairs *and* the median pair's overhead exceeds the threshold.  Host
+interference hits both halves of a pair alike, so the verdict holds on a
+loaded host where one minimum per mode did not.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/service_telemetry_bench.py \\
-        --requests 200 --pairs 10 --threshold 0.05
+        --requests 60 --pairs 40 --threshold 0.05
 
 Prints a JSON summary to stdout; exits 1 when telemetry is over budget.
 """
@@ -31,11 +35,12 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 
-from paired_guard import paired_verdict
+from paired_guard import paired_times, paired_verdict
 
 WORKLOAD = "matmul_racing"
+#: seconds after each request for its daemon to finish recording it
+SETTLE_S = 0.0005
 
 
 @contextlib.contextmanager
@@ -67,34 +72,21 @@ def _daemon(telemetry: bool):
             queue.stop()
 
 
-def _batch(submit, requests: int) -> float:
-    """Seconds per request over one batch of cached submissions."""
-    start = time.perf_counter()
-    for _ in range(requests):
-        submit()
-    return (time.perf_counter() - start) / requests
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="cached round-trip overhead: telemetry on vs off",
     )
-    parser.add_argument("--requests", type=int, default=200,
-                        help="cached submissions per batch (default 200)")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="pairs of batches, one per mode (default 10)")
+    parser.add_argument("--requests", type=int, default=60,
+                        help="cached submissions per batch (default 60)")
+    parser.add_argument("--pairs", type=int, default=40,
+                        help="pairs of batches, one per mode (default 40)")
     parser.add_argument("--threshold", type=float, default=0.05,
                         help="max tolerated relative overhead (default 0.05)")
     args = parser.parse_args(argv)
 
-    per_request: dict[bool, list[float]] = {False: [], True: []}
     with _daemon(False) as submit_off, _daemon(True) as submit_on:
-        submit = {False: submit_off, True: submit_on}
-        for i in range(args.pairs):
-            for telemetry in ((False, True) if i % 2 == 0 else (True, False)):
-                per_request[telemetry].append(
-                    _batch(submit[telemetry], args.requests))
-    off, on = per_request[False], per_request[True]
+        off, on = paired_times({False: submit_off, True: submit_on},
+                               args.pairs, args.requests, SETTLE_S)
     verdict = paired_verdict(off, on, args.threshold)
     summary = {
         "workload": WORKLOAD,

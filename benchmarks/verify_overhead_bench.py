@@ -21,8 +21,9 @@ numbers justify the flip, and this bench measures both:
   so that a pathological regression still fails even though the honest
   steady-state number is the cached one.
 
-Both alternate the modes within one run, one pair at a time (which mode
-goes first alternates too), and judge the pairs with
+Both time the two modes in pairs within one run, interleaved call by
+call, with the leading mode alternating pair by pair
+(:func:`paired_guard.paired_times`), and judge the pairs with
 :func:`paired_guard.paired_verdict` — compare.py's rule: a guard fails
 only when the verified mode is slower in at least 9 of every 10 pairs
 *and* the median pair exceeds the budget.  Host drift hits both halves
@@ -32,7 +33,7 @@ wall-clock stalls.
 Usage::
 
     PYTHONPATH=src python benchmarks/verify_overhead_bench.py \\
-        --workload mp3d --pairs 10 --repeats 6 --threshold 0.10
+        --workload mp3d --pairs 10 --repeats 10 --threshold 0.10
 
 Prints a JSON summary to stdout; exits 1 when a guard fails.
 """
@@ -46,9 +47,8 @@ import shutil
 import statistics
 import sys
 import tempfile
-import time
 
-from paired_guard import paired_verdict
+from paired_guard import paired_times, paired_verdict
 
 #: absolute tolerance added to the cached-round-trip gate: cache hits are
 #: sub-millisecond, where a pure ratio would amplify scheduler noise into
@@ -58,8 +58,8 @@ CACHED_FLOOR_S = 0.001
 
 @contextlib.contextmanager
 def _cached_job(workload: str, verify: bool):
-    """A job queue whose cache holds the bench job; yields a function that
-    times ``hits`` cache-hit round trips and returns CPU s per trip."""
+    """A job queue whose cache holds the bench job; yields one cache-hit
+    round trip of that job."""
     from repro.service.queue import JobQueue, ServiceConfig
 
     data_dir = tempfile.mkdtemp(prefix="verify-bench-")
@@ -70,38 +70,22 @@ def _cached_job(workload: str, verify: bool):
         queue.submit("bench", params)
         queue.drain(timeout=600)
 
-        def round_trips(hits: int) -> float:
-            start = time.process_time()
-            for _ in range(hits):
-                submitted = queue.submit("bench", params)
-                queue.drain(timeout=60)
-            elapsed = time.process_time() - start
+        def round_trip() -> None:
+            submitted = queue.submit("bench", params)
+            queue.drain(timeout=60)
             if not submitted["cached"]:
                 raise RuntimeError("re-submission was not served from cache")
-            return elapsed / hits
 
-        yield round_trips
+        yield round_trip
     finally:
         queue.stop()
         shutil.rmtree(data_dir, ignore_errors=True)
 
 
-def _cold_run(workload: str, verify: bool) -> float:
+def _cold_run(workload: str, verify: bool) -> None:
     from repro.obs.baseline import bench_workload
 
-    start = time.process_time()
     bench_workload(workload, verify=verify)
-    return time.process_time() - start
-
-
-def _pairs(measure, pairs: int) -> tuple[list[float], list[float]]:
-    """``measure(verify)`` for each mode, ``pairs`` times, alternating
-    which mode goes first; returns the (off, on) series."""
-    out: dict[bool, list[float]] = {False: [], True: []}
-    for i in range(pairs):
-        for verify in ((False, True) if i % 2 == 0 else (True, False)):
-            out[verify].append(measure(verify))
-    return out[False], out[True]
 
 
 def main(argv=None) -> int:
@@ -115,8 +99,8 @@ def main(argv=None) -> int:
                         help="pairs of cache-hit batches (default 10)")
     parser.add_argument("--hits", type=int, default=5,
                         help="cache-hit round trips per batch (default 5)")
-    parser.add_argument("--repeats", type=int, default=6,
-                        help="pairs of cold runs (default 6)")
+    parser.add_argument("--repeats", type=int, default=10,
+                        help="pairs of cold runs (default 10)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="max tolerated cached-round-trip overhead "
                              "(default 0.10)")
@@ -125,16 +109,17 @@ def main(argv=None) -> int:
                              "(default 0.35)")
     args = parser.parse_args(argv)
 
-    with _cached_job(args.workload, False) as trips_off, \
-            _cached_job(args.workload, True) as trips_on:
-        trips = {False: trips_off, True: trips_on}
-        cached_off, cached_on = _pairs(
-            lambda verify: trips[verify](args.hits), args.pairs)
+    with _cached_job(args.workload, False) as trip_off, \
+            _cached_job(args.workload, True) as trip_on:
+        cached_off, cached_on = paired_times(
+            {False: trip_off, True: trip_on}, args.pairs, args.hits)
     cached = paired_verdict(cached_off, cached_on, args.threshold,
                             CACHED_FLOOR_S)
     _cold_run(args.workload, verify=False)  # warm imports outside the clock
-    cold_off, cold_on = _pairs(
-        lambda verify: _cold_run(args.workload, verify), args.repeats)
+    cold_off, cold_on = paired_times(
+        {verify: lambda verify=verify: _cold_run(args.workload, verify)
+         for verify in (False, True)},
+        args.repeats, 1)
     cold = paired_verdict(cold_off, cold_on, args.cold_threshold)
     summary = {
         "workload": args.workload,
