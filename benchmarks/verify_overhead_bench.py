@@ -33,7 +33,7 @@ wall-clock stalls.
 Usage::
 
     PYTHONPATH=src python benchmarks/verify_overhead_bench.py \\
-        --workload mp3d --pairs 10 --repeats 10 --threshold 0.10
+        --workload mp3d --pairs 10 --threshold 0.10
 
 Prints a JSON summary to stdout; exits 1 when a guard fails.
 """
@@ -96,11 +96,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="mp3d",
                         help="Figure-6 workload to bench (default mp3d)")
     parser.add_argument("--pairs", type=int, default=10,
-                        help="pairs of cache-hit batches (default 10)")
+                        help="pairs of cache-hit batches, and of cold runs "
+                             "(default 10)")
     parser.add_argument("--hits", type=int, default=5,
                         help="cache-hit round trips per batch (default 5)")
-    parser.add_argument("--repeats", type=int, default=10,
-                        help="pairs of cold runs (default 10)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="max tolerated cached-round-trip overhead "
                              "(default 0.10)")
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
     cold_off, cold_on = paired_times(
         {verify: lambda verify=verify: _cold_run(args.workload, verify)
          for verify in (False, True)},
-        args.repeats, 1)
+        args.pairs, 1)
     cold = paired_verdict(cold_off, cold_on, args.cold_threshold)
     summary = {
         "workload": args.workload,

@@ -192,14 +192,15 @@ class Dir1SWProtocol:
         Returns ``(sets, mask, stats, pending, hit)``: per node, the
         cache's sets (block ``b`` lives in set ``b & mask``; every cache
         has the same geometry), its :class:`CacheStats` and its in-flight
-        prefetches; and the one shared HIT result.  A *plain hit* is a block resident in the
-        node's set, read, or written on an EXCLUSIVE line, with no
-        prefetch to it in flight.  It costs exactly what :meth:`read` /
-        :meth:`write` charge one: the line moves to the set's MRU end, a
-        write sets its dirty bit, the node's ``hits`` counts it, and the
-        outcome is ``hit``.  Every other access must go through
-        :meth:`read` / :meth:`write`, which stay the written reference
-        for the rule.
+        prefetches; and the one shared HIT result.
+
+        A *plain hit* is a block resident in the node's set, read, or
+        written on an EXCLUSIVE line, with no prefetch to it in flight.
+        It costs exactly what :meth:`read` / :meth:`write` charge one:
+        the line moves to the set's MRU end, a write sets its dirty bit,
+        the node's ``hits`` counts it, and the outcome is ``hit``.  Every
+        other access must go through :meth:`read` / :meth:`write`, which
+        stay the written reference for the rule.
 
         :meth:`restore_state` rebinds ``stats`` and the pending maps, so
         take this after any restore (the machine takes it after a
