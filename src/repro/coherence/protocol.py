@@ -82,6 +82,11 @@ class ProtocolStats:
     #: out (``prefetch_useful`` also counts a write fault that consumed a
     #: prefetch, so it cannot stand in)
     prefetch_hits: int = 0
+    #: plain write hits, a part of ``CacheStats.hits``
+    write_hits: int = 0
+    #: read misses, write misses and write faults of demand accesses
+    #: (``CacheStats`` also counts a check-out's acquisition as one)
+    demand_misses: int = 0
 
 
 @dataclass(slots=True)
@@ -181,7 +186,8 @@ class Dir1SWProtocol:
 
     def hits(self) -> int:
         """Every access that hit so far, prefetched hits included: the
-        count of HIT outcomes the machine has published on ACCESS."""
+        count of accesses the machine has published on READ_HIT,
+        WRITE_HIT and PREFETCH_HIT."""
         return (sum(stats.hits for stats in self.stats)
                 + self.proto_stats.prefetch_hits)
 
@@ -189,18 +195,20 @@ class Dir1SWProtocol:
         """What the hit rule of :meth:`read` and :meth:`write` reads, for a
         caller that resolves plain hits itself (the machine's step loop).
 
-        Returns ``(sets, mask, stats, pending, hit)``: per node, the
-        cache's sets (block ``b`` lives in set ``b & mask``; every cache
-        has the same geometry), its :class:`CacheStats` and its in-flight
-        prefetches; and the one shared HIT result.
+        Returns ``(sets, mask, stats, proto_stats, pending, hit)``: per
+        node, the cache's sets (block ``b`` lives in set ``b & mask``;
+        every cache has the same geometry) and its :class:`CacheStats`;
+        the :class:`ProtocolStats`; per node, its in-flight prefetches;
+        and the one shared HIT result.
 
         A *plain hit* is a block resident in the node's set, read, or
         written on an EXCLUSIVE line, with no prefetch to it in flight.
         It costs exactly what :meth:`read` / :meth:`write` charge one:
-        the line moves to the set's MRU end, a write sets its dirty bit,
-        the node's ``hits`` counts it, and the outcome is ``hit``.  Every
-        other access must go through :meth:`read` / :meth:`write`, which
-        stay the written reference for the rule.
+        the line moves to the set's MRU end, a write sets its dirty bit
+        and counts in ``proto_stats.write_hits``, the node's ``hits``
+        counts it, and the outcome is ``hit``.  Every other access must go
+        through :meth:`read` / :meth:`write`, which stay the written
+        reference for the rule.
 
         :meth:`restore_state` rebinds ``stats`` and the pending maps, so
         take this after any restore (the machine takes it after a
@@ -210,6 +218,7 @@ class Dir1SWProtocol:
             [cache.sets for cache in self.caches],
             self.caches[0].num_sets - 1,
             self.stats,
+            self.proto_stats,
             self._pending,
             self._hit,
         )
@@ -402,6 +411,7 @@ class Dir1SWProtocol:
         cycles, detail = self._acquire_shared(node, block)
         cycles += self._contend(block, now)
         self._insert(node, block, LineState.SHARED, dirty=False)
+        self.proto_stats.demand_misses += 1
         stats.read_misses += 1
         stats.stall_cycles += cycles
         return AccessResult(cycles, AccessKind.READ_MISS, detail, txn)
@@ -419,9 +429,11 @@ class Dir1SWProtocol:
                         self.cost.hit_cycles + wait, AccessKind.HIT,
                         "prefetched",
                     )
+            self.proto_stats.write_hits += 1
             self.stats[node].hits += 1
             return self._hit
         stats = self.stats[node]
+        self.proto_stats.demand_misses += 1
         if line is not None:  # SHARED: write fault (upgrade)
             wait = 0
             if self._pending[node]:

@@ -30,7 +30,9 @@ Responsibilities:
   crossings, lock traffic, node completion — on an
   :class:`~repro.obs.events.EventBus` (Section 3.3's trace collector is one
   subscriber; so are the metrics/timeline/Chrome-trace layers of
-  ``repro.obs``).
+  ``repro.obs``).  Each access is published once, on the topic its outcome
+  names: the step loop knows a plain hit's topic from the branch it took,
+  and a protocol outcome's from its kind.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from repro.obs.events import (
     EventBus,
     EventKind,
     LockEvent,
-    MissEvent,
     NodeDoneEvent,
 )
 
@@ -208,11 +209,14 @@ class Machine:
         read = self.protocol.read
         write = self.protocol.write
         # the hit rule's inputs, taken after restore() (which rebinds them)
-        sets, set_mask, node_stats, pending, hit = self.protocol.hit_path()
+        sets, set_mask, node_stats, proto_stats, pending, hit = (
+            self.protocol.hit_path())
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
         heapreplace = heapq.heapreplace
-        ACCESS = EventKind.ACCESS
+        READ_HIT = EventKind.READ_HIT
+        WRITE_HIT = EventKind.WRITE_HIT
+        PREFETCH_HIT = EventKind.PREFETCH_HIT
         MISS = EventKind.MISS
         HIT = AccessKind.HIT
         EXCLUSIVE = LineState.EXCLUSIVE
@@ -288,24 +292,25 @@ class Machine:
                         cset.move_to_end(block)
                         if is_write:
                             line.dirty = True
+                            proto_stats.write_hits += 1
+                            topic = WRITE_HIT
+                        else:
+                            topic = READ_HIT
                         node_stats[nid].hits += 1
                         result = hit
-                    elif is_write:
-                        result = write(nid, block, started)
                     else:
-                        result = read(nid, block, started)
+                        if is_write:
+                            result = write(nid, block, started)
+                        else:
+                            result = read(nid, block, started)
+                        topic = MISS if result.kind is not HIT else PREFETCH_HIT
                     state.clock = started + result.cycles
-                    if subscribed:
-                        if ACCESS in subscribed:
-                            publish(new(AccessEvent, (
-                                nid, self.epoch, addr, pc, is_write, started,
-                                result,
-                            )))
-                        if MISS in subscribed and result.kind is not HIT:
-                            publish(new(MissEvent, (
-                                nid, self.epoch, addr, pc, is_write, started,
-                                result,
-                            )))
+                    # one event per access, on its outcome's topic
+                    if subscribed and topic in subscribed:
+                        publish(new(AccessEvent, (
+                            nid, self.epoch, addr, pc, is_write, started,
+                            result,
+                        )), topic)
 
             elif code == EV_BARRIER:
                 _, _compute, pc = event

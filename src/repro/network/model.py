@@ -14,6 +14,9 @@ requesting ``node``, the operation's start clock ``t`` and its transaction
 id ``txn`` — onto the :class:`~repro.obs.events.MessageEvent`\\ s the sends
 publish.  ``epoch`` is advanced by the machine at every barrier.  The
 context is bookkeeping only; it never changes latencies or traffic counts.
+It also keys the per-node counts (:meth:`Network.sent_by_node`) from which
+the stall ledger books each epoch's messages per node, so that nobody has
+to subscribe to MESSAGE for them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class Network:
     t: int = 0
     txn: int = -1
     _traffic: Counter = field(default_factory=Counter)
+    _by_node: Counter = field(default_factory=Counter)
 
     def begin(self, node: int, t: int, txn: int = -1) -> None:
         """Stamp the context for the sends of one protocol operation."""
@@ -66,6 +70,7 @@ class Network:
                 self.node, kind, count, self.hop_latency
             )
         self._traffic[kind] += count
+        self._by_node[self.node] += count
         bus = self.bus
         if bus is not None and EventKind.MESSAGE in bus.subscribed:
             # tuple.__new__ skips the NamedTuple's generated Python __new__
@@ -87,8 +92,16 @@ class Network:
     def traffic_by_kind(self) -> dict[MessageKind, int]:
         return dict(self._traffic)
 
+    def sent_by_node(self) -> dict[int, int]:
+        """Messages sent per context node (-1 before any operation), since
+        the network was built or last :meth:`reset`.  Checkpoints do not
+        carry these counts: a reader takes differences, starting where a
+        run started or resumed."""
+        return dict(self._by_node)
+
     def reset(self) -> None:
         self._traffic.clear()
+        self._by_node.clear()
 
     # ----------------------------------------------------------- checkpoint
     def snapshot_traffic(self) -> dict[str, int]:

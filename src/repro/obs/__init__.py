@@ -14,7 +14,6 @@ from repro.obs.events import (
     EventKind,
     LockEvent,
     MessageEvent,
-    MissEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -81,7 +80,6 @@ __all__ = [
     "MessageEvent",
     "MetricsError",
     "MetricsRegistry",
-    "MissEvent",
     "NodeDoneEvent",
     "Observation",
     "Observer",

@@ -9,9 +9,10 @@ run can answer "which array, which source line, which epoch is burning the
 traffic?":
 
 * :class:`StallLedger` subscribes ``MISS`` / ``DIRECTIVE`` / ``TRAP`` /
-  ``RECALL`` / ``MESSAGE`` / ``LOCK_ACQUIRE`` / ``BARRIER`` /
-  ``NODE_DONE`` (``ACCESS`` only while its audit waits for a checked-out
-  block's first reference) and keeps each epoch's stall spans keyed by
+  ``RECALL`` / ``LOCK_ACQUIRE`` / ``BARRIER`` / ``NODE_DONE`` (every
+  access topic, ``ACCESS``, only while its audit waits for a checked-out
+  block's first reference), reads each node's message count from the
+  network, and keeps each epoch's stall spans keyed by
   (node, data structure, pc, cause), plus each epoch's length, barrier
   arrivals, messages per node and **annotation-effectiveness audit**:
   check-outs whose blocks were never re-referenced, check-ins immediately
@@ -60,7 +61,6 @@ from repro.obs.events import (
     EventBus,
     EventKind,
     LockEvent,
-    MessageEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -170,8 +170,9 @@ class _EpochAudit:
     premature_checkins: int = 0
     checkouts: int = 0
     checkins: int = 0
-    #: requesting node -> messages its transactions sent this epoch
-    #: (node -1 collects traffic outside any transaction, e.g. flushes)
+    #: requesting node -> messages its operations sent this epoch (the
+    #: network's context node; -1 before any operation), booked at the
+    #: epoch's close
     messages_by_node: dict[int, int] = field(default_factory=dict)
 
 
@@ -200,6 +201,12 @@ class StallLedger:
     :meth:`attach`).  ``hits`` is the run's hit total, handed to
     :meth:`finalize` by whoever reads the protocol's counters (the
     :class:`~repro.obs.session.Observer`).
+
+    ``network`` is the run's :class:`~repro.network.model.Network`: each
+    epoch's messages per node are the differences of its per-node
+    counters (:meth:`~repro.network.model.Network.sent_by_node`), read at
+    each barrier and at :meth:`finalize`, from where the run started or
+    resumed (:meth:`resume`).  Without one the books stay empty.
     """
 
     def __init__(
@@ -209,6 +216,7 @@ class StallLedger:
         source: SourceMap | None = None,
         env=None,
         attribution: bool = True,
+        network=None,
     ):
         if block_size <= 0 or block_size & (block_size - 1):
             raise ObsError(f"block_size must be a power of two, got {block_size}")
@@ -241,15 +249,19 @@ class StallLedger:
         self._bus: EventBus | None = None
         self._tokens: list[int] = []
         self._hit_token: int | None = None  # the ACCESS subscription
+        self._network = network
+        self._sent: dict[int, int] = {}  # per-node counts at the last read
+        self.resume()
 
     def attach(self, bus: EventBus) -> None:
         """Subscribe to ``bus`` until :meth:`detach`.
 
         The ledger reads misses from MISS.  With ``attribution`` it also
-        subscribes to ACCESS when the count of unreferenced checked-out
-        pairs rises from zero, and unsubscribes when the count falls back
-        to zero and at each epoch close; a hit outside those windows
-        cannot change the audit, and costs the ledger nothing.
+        subscribes to ACCESS, every access topic, when the count of
+        unreferenced checked-out pairs rises from zero, and unsubscribes
+        when the count falls back to zero and at each epoch close; a hit
+        outside those windows cannot change the audit, and costs the
+        ledger nothing.
         """
         self._bus = bus
         sub = bus.subscribe
@@ -257,7 +269,6 @@ class StallLedger:
             sub((EventKind.MISS,), self._on_miss),
             sub((EventKind.DIRECTIVE,), self._on_directive),
             sub((EventKind.TRAP, EventKind.RECALL), self._on_slow_path),
-            sub((EventKind.MESSAGE,), self._on_message),
             sub((EventKind.LOCK_ACQUIRE,), self._on_lock),
             sub((EventKind.BARRIER,), self._on_barrier),
             sub((EventKind.NODE_DONE,), self._on_node_done),
@@ -269,6 +280,26 @@ class StallLedger:
         for token in self._tokens:
             self._bus.unsubscribe(token)
         self._tokens.clear()
+
+    def resume(self) -> None:
+        """Book messages from here on: the network's per-node counts now
+        are where the next epoch's differences start."""
+        if self._network is not None:
+            self._sent = self._network.sent_by_node()
+
+    def _book_messages(self) -> None:
+        """Book each node's messages since the last read into the open
+        epoch's audit."""
+        if self._network is None:
+            return
+        sent = self._network.sent_by_node()
+        last = self._sent
+        books = self._audit.messages_by_node
+        for node, count in sent.items():
+            count -= last.get(node, 0)
+            if count:
+                books[node] = books.get(node, 0) + count
+        self._sent = sent
 
     def _read_accesses(self, on: bool) -> None:
         """Subscribe to ACCESS (``on``) or drop that subscription."""
@@ -420,10 +451,6 @@ class StallLedger:
     def _on_slow_path(self, ev: TrapEvent | RecallEvent) -> None:
         self._pending.setdefault(ev.node, []).append(ev)
 
-    def _on_message(self, ev: MessageEvent) -> None:
-        msgs = self._audit.messages_by_node
-        msgs[ev.node] = msgs.get(ev.node, 0) + ev.count
-
     def _on_lock(self, ev: LockEvent) -> None:
         span = self._span(self.epoch, ev.node,
                           self._array_of_block(ev.addr >> self._shift),
@@ -434,6 +461,7 @@ class StallLedger:
             span.count += 1
 
     def _on_barrier(self, ev: BarrierEvent) -> None:
+        self._book_messages()
         label = ""
         if self.source is not None and ev.node_pcs:
             label = self.source.epoch_label(next(iter(ev.node_pcs.values())))
@@ -491,6 +519,7 @@ class StallLedger:
             return
         self._finalized = True
         self.hits = hits
+        self._book_messages()
         for node in list(self._pending):
             self._fold(node, self.epoch, -1, "unclaimed")
         end = max(cycles or 0, self.start_vt)

@@ -5,10 +5,19 @@ access outcomes, directive issues, barrier crossings and lock hand-offs; the
 protocol publishes its slow-path events (Dir1SW software traps, recalls);
 the network publishes per-message traffic.  Consumers — the trace collector,
 the metrics/timeline layer, the Chrome-trace recorder, ad-hoc test probes —
-subscribe to the :class:`EventKind`\\ s they care about.  Access outcomes
-come on two topics: ACCESS carries every one, MISS only those that are not
-hits (see :class:`MissEvent`), so a consumer of misses alone is never
-called for the hits that make up most references.
+subscribe to the :class:`EventKind`\\ s they care about.
+
+Access topics
+-------------
+Each shared reference is published once, as one :class:`AccessEvent`, on
+the topic its outcome names (:func:`access_topic`): READ_HIT and WRITE_HIT
+for a plain hit, PREFETCH_HIT for a hit on a line whose prefetch was in
+flight, MISS for a read miss, a write miss or a write fault.  A consumer
+subscribes to the outcomes it reads and is never called for the others —
+above all not for the plain read hits that make up most references.
+ACCESS is not published on: subscribing to it subscribes to all four
+access topics, for a tap that wants every access, and ``ACCESS in
+bus.subscribed`` says that such a tap is listening.
 
 Cheap when enabled, free when disabled
 --------------------------------------
@@ -19,8 +28,8 @@ instructions and nothing else.  Do not put work on the publishing side
 that is not behind such a test.  Every event but :class:`BarrierEvent` is
 an immutable :class:`~typing.NamedTuple` record, built positionally: one
 tuple allocation per event, with no per-field ``__setattr__``.  The
-hottest three — :class:`AccessEvent`, :class:`MissEvent` and
-:class:`MessageEvent` — are built as ``tuple.__new__(Type, (...))``, which
+hottest two — :class:`AccessEvent` and :class:`MessageEvent` — are built
+as ``tuple.__new__(Type, (...))``, which
 skips the NamedTuple's generated Python ``__new__`` (and its defaults:
 such a call must pass every field, in order).  An event's ``kind`` is a
 class attribute, except on :class:`LockEvent`, which serves three kinds
@@ -60,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (protocol imports us)
 class EventKind(enum.IntEnum):
     """Topics of the bus; subscribe to any subset."""
 
-    ACCESS = enum.auto()  # every shared reference outcome (hits included)
+    ACCESS = enum.auto()  # subscribe-only: the four access topics below
     DIRECTIVE = enum.auto()  # one CICO directive issue (possibly many blocks)
     BARRIER = enum.auto()  # a barrier crossing / epoch boundary
     LOCK_ACQUIRE = enum.auto()  # lock granted (immediately or after a wait)
@@ -70,11 +79,27 @@ class EventKind(enum.IntEnum):
     RECALL = enum.auto()  # directory recalled an exclusive owner's copy
     MESSAGE = enum.auto()  # protocol network message(s)
     NODE_DONE = enum.auto()  # a node's kernel finished
-    MISS = enum.auto()  # every shared reference outcome that is not a hit
+    MISS = enum.auto()  # a read miss, write miss or write fault
+    READ_HIT = enum.auto()  # a plain read hit
+    WRITE_HIT = enum.auto()  # a plain write hit
+    PREFETCH_HIT = enum.auto()  # a hit on a line whose prefetch was in flight
+
+
+#: the topics an access is published on, one per outcome; subscribing to
+#: ACCESS subscribes to all of them
+ACCESS_TOPICS = (
+    EventKind.READ_HIT, EventKind.WRITE_HIT, EventKind.PREFETCH_HIT,
+    EventKind.MISS,
+)
 
 
 class AccessEvent(NamedTuple):
-    """Outcome of one shared reference (the machine's EV_REF)."""
+    """Outcome of one shared reference (the machine's EV_REF).
+
+    Published once, on the topic :func:`access_topic` names; its ``kind``
+    is ACCESS whatever the topic, so a tap on several topics tells an
+    access from other events by ``kind`` and its outcome by ``result``.
+    """
 
     node: int
     epoch: int
@@ -87,20 +112,17 @@ class AccessEvent(NamedTuple):
     kind = EventKind.ACCESS
 
 
-class MissEvent(AccessEvent):
-    """An :class:`AccessEvent` whose outcome is not a hit: a read miss, a
-    write miss or a write fault.
+def access_topic(event: AccessEvent) -> EventKind:
+    """The topic an access is published on, named by its outcome."""
+    # imported here: the protocol imports this module
+    from repro.coherence.protocol import AccessKind
 
-    The machine publishes it after the reference's ACCESS event, with the
-    same field values, and only while someone subscribes to MISS.  A
-    consumer that reads only misses (the trace collector, the critical-path
-    analyzer) subscribes here and is not called for the hits; a consumer
-    that needs hits, including prefetch completions, stays on ACCESS.
-    """
-
-    __slots__ = ()
-
-    kind = EventKind.MISS
+    result = event.result
+    if result.kind is not AccessKind.HIT:
+        return EventKind.MISS
+    if result.detail == "prefetched":
+        return EventKind.PREFETCH_HIT
+    return EventKind.WRITE_HIT if event.write else EventKind.READ_HIT
 
 
 class DirectiveEvent(NamedTuple):
@@ -220,7 +242,6 @@ class NodeDoneEvent(NamedTuple):
 
 Event = (
     AccessEvent
-    | MissEvent
     | DirectiveEvent
     | BarrierEvent
     | LockEvent
@@ -242,6 +263,8 @@ class EventBus:
     read-only view of the kinds somebody listens to: hot publishers test
     ``kind in bus.subscribed`` inline and skip building the event when
     nobody is listening; (un)subscribing mid-run shows in the view at once.
+    A subscription to ACCESS is one to every access topic as well (see the
+    module doc), so a handler on ACCESS and MISS still gets a miss once.
     """
 
     __slots__ = ("_subs", "_seq", "_next_token", "subscribed")
@@ -275,8 +298,12 @@ class EventBus:
         self._next_token += 1
         for kind in EventKind if kinds is None else kinds:
             kind = EventKind(kind)
-            self._subs.setdefault(kind, {})[token] = handler
-            self._seq[kind] = tuple(self._subs[kind].values())
+            topics = (kind,)
+            if kind is EventKind.ACCESS:
+                topics += ACCESS_TOPICS
+            for topic in topics:
+                self._subs.setdefault(topic, {})[token] = handler
+                self._seq[topic] = tuple(self._subs[topic].values())
         return token
 
     def unsubscribe(self, token: int) -> None:
@@ -292,7 +319,16 @@ class EventBus:
                 del self._seq[kind]
 
     # ----------------------------------------------------------- publishing
-    def publish(self, event) -> None:
-        """Deliver ``event`` to every subscriber of its kind, in order."""
-        for handler in self._seq.get(event.kind, ()):
+    def publish(self, event, kind: EventKind | None = None) -> None:
+        """Deliver ``event`` to every subscriber of ``kind``, in order.
+
+        ``kind`` defaults to the event's own; an :class:`AccessEvent`
+        goes on its outcome's topic.  The machine names the topic, which it
+        knows without looking at the outcome.
+        """
+        if kind is None:
+            kind = event.kind
+            if kind is EventKind.ACCESS:
+                kind = access_topic(event)
+        for handler in self._seq.get(kind, ()):
             handler(event)

@@ -44,7 +44,6 @@ from repro.obs.events import (
     EventKind,
     LockEvent,
     MessageEvent,
-    MissEvent,
     NodeDoneEvent,
     RecallEvent,
     TrapEvent,
@@ -123,10 +122,11 @@ class Observer:
     read it.  It keeps what only attribution reads (the check-out audit
     and the directives' per-array block counts) only for ``profile``.
 
-    Who reads ACCESS, the one topic with an event per hit: the observer
-    only with ``include_hits`` (hit spans); its metrics and miss spans
-    read MISS.  The ledger reads ACCESS only with ``profile``, and only
-    while a checked-out (node, block) pair is still unreferenced.
+    Who reads the hit topics (READ_HIT, WRITE_HIT, PREFETCH_HIT), the
+    ones with an event per hit: the observer only with ``include_hits``
+    (hit spans); its metrics and miss spans read MISS.  The ledger reads
+    every access topic only with ``profile``, and only while a
+    checked-out (node, block) pair is still unreferenced.
     ``accesses.hit``, ``messages`` and ``messages.<kind>`` come from the
     protocol bound by :meth:`bind_run` (``Dir1SWProtocol.hits()``,
     prefetched hits included, and its network's
@@ -225,27 +225,25 @@ class Observer:
         if chrome:  # the flow arrows join each transaction's messages
             self._tokens.append(sub((EventKind.MESSAGE,), self._on_message))
         if include_hits:
-            self._tokens.append(sub((EventKind.ACCESS,), self._on_access))
+            self._tokens.append(sub(
+                (EventKind.READ_HIT, EventKind.WRITE_HIT,
+                 EventKind.PREFETCH_HIT), self._record_access))
         # The timeline subscribes *after* the metric handlers so each epoch
         # sample includes the barrier that closed it.
         self.timeline = EpochTimeline(self.registry)
         self._tokens.append(self.timeline.attach(self.bus))
 
     # ------------------------------------------------------------- handlers
-    def _on_miss(self, ev: MissEvent) -> None:
+    def _on_miss(self, ev: AccessEvent) -> None:
         result = ev.result
         self._c_access[result.kind].inc()
         self._h_miss.observe(result.cycles)
         if self._chrome:
             self._record_access(ev)
 
-    def _on_access(self, ev: AccessEvent) -> None:
-        # subscribed only with include_hits; misses come through _on_miss
-        if ev.result.kind is _HIT:
-            self._record_access(ev)
-
     def _record_access(self, ev: AccessEvent) -> None:
-        """One access's Chrome span, with the flows its slow path ran."""
+        """One access's Chrome span, with the flows its slow path ran (a
+        hit's, with ``include_hits``, or a miss's)."""
         result = ev.result
         args = {
             "addr": f"{ev.addr:#x}",
@@ -467,12 +465,15 @@ class Observer:
         self.ledger = StallLedger(
             labels=labels, block_size=block_size, source=SourceMap(program),
             env=env, attribution=self._profile,
+            network=None if protocol is None else protocol.network,
         )
         self.ledger.attach(self.bus)
 
     def resume(self) -> None:
         """Count hits and messages from here on: call once the machine has
         restored the checkpoint a run resumes from (the runner does)."""
+        if self.ledger is not None:
+            self.ledger.resume()
         proto = self._protocol
         self._hits0 = self._c_hits.value
         self._proto_hits0 = proto.hits()

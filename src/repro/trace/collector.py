@@ -15,7 +15,7 @@ within an epoch no ordering is preserved.
 from __future__ import annotations
 
 from repro.mem.labels import LabelTable
-from repro.obs.events import BarrierEvent, EventBus, EventKind, MissEvent
+from repro.obs.events import AccessEvent, BarrierEvent, EventBus, EventKind
 from repro.trace.records import BarrierRecord, LabelInfo, MissKind, MissRecord, Trace
 
 
@@ -46,7 +46,7 @@ class TraceCollector:
             bus.subscribe((EventKind.BARRIER,), self._on_barrier_event),
         ]
 
-    def _on_miss_event(self, event: MissEvent) -> None:
+    def _on_miss_event(self, event: AccessEvent) -> None:
         self._current_epoch = event.epoch
         self._epoch_table.setdefault(
             (event.node, event.addr, MissKind.from_access(event.result.kind)),

@@ -21,8 +21,15 @@ that the simulated machine never leaves its legal envelope:
   not-yet-finished node participates in every barrier;
 * **event/metric conservation** — at finalize, the events the bus delivered
   must reconcile exactly with the run's counters: traps, recalls, messages,
-  barriers, node completions and cache hits.  A mismatch means an event was
-  dropped or double-counted somewhere between the protocol and the bus.
+  barriers, node completions, and each access topic the checker reads
+  (write hits, prefetched hits, misses) with the protocol's count of that
+  outcome.  A mismatch means an event was dropped or double-counted
+  somewhere between the protocol and the bus.
+
+The checker reads the access topics where a check can fail and nothing
+else: a plain read hit changes no coherence state, so it neither needs a
+check nor gets an event.  Its count in the report comes from the protocol
+(``CacheStats.hits`` less ``ProtocolStats.write_hits``).
 
 Failures raise :class:`~repro.errors.VerifyError` carrying the node, epoch
 and block involved plus the recent event chain — per-node ring buffers
@@ -39,7 +46,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.coherence.protocol import AccessKind
+from repro.cache.state import LineState
+from repro.coherence.directory import DirState
 from repro.errors import VerifyError
 from repro.machine.events import (
     DIR_CHECK_IN,
@@ -54,7 +62,8 @@ __all__ = ["InvariantChecker", "VerifyReport", "verify_run"]
 
 _OUT = "out"
 _IN = "in"
-_HIT = AccessKind.HIT
+_EXCLUSIVE = LineState.EXCLUSIVE
+_RW = DirState.RW
 
 #: events each node's ring buffer keeps as a VerifyError's evidence chain
 CHAIN_DEPTH = 24
@@ -172,6 +181,13 @@ class InvariantChecker:
         self.strict_cico = strict_cico
         self.label = label
         self._shift = protocol.block_size.bit_length() - 1
+        # what a write hit's SWMR check reads: the writer's set (laid out
+        # as Dir1SWProtocol.hit_path says), the directory entries and the
+        # residency count
+        self._sets = [cache.sets for cache in protocol.caches]
+        self._set_mask = protocol.caches[0].num_sets - 1
+        self._entries = protocol.directory.entries()
+        self._residency = protocol.residency
         n = protocol.num_nodes
         # CICO discipline state, reset at every barrier: block -> _OUT | _IN
         self._cico: list[dict[int, str]] = [{} for _ in range(n)]
@@ -184,9 +200,16 @@ class InvariantChecker:
         self._recent: list[deque] = [deque(maxlen=CHAIN_DEPTH) for _ in range(n)]
         self._txn_log: deque = deque(maxlen=16 * CHAIN_DEPTH)
         # event counts (VerifyReport.events), plain ints: the access and
-        # message handlers bump them on every event
-        self._accesses = 0
-        self._hits = 0
+        # message handlers bump them on every event.  Each access count
+        # starts from the protocol's count at the resume point (zero on a
+        # fresh run); _read_hits0 is the plain read hits there.
+        self._write_hits = 0
+        self._prefetch_hits = 0
+        self._misses = 0
+        self._write_hits0 = 0
+        self._prefetch_hits0 = 0
+        self._misses0 = 0
+        self._read_hits0 = 0
         self._traps = 0
         self._recalls = 0
         self._messages = 0
@@ -205,21 +228,21 @@ class InvariantChecker:
 
     # -------------------------------------------------------------- wiring
     def subscribe(self, bus: EventBus) -> None:
-        """Listen to every event kind but MISS, until :meth:`detach`.
+        """Listen until :meth:`detach` to every event kind but READ_HIT.
 
-        The two hot kinds — ACCESS and MESSAGE — get dedicated handlers
-        that skip the dispatch chain entirely.  MISS is left out: every
-        miss already reaches the checker as an ACCESS event, and
-        subscribing would make the machine publish a second copy of each.
+        Each access topic read — WRITE_HIT, PREFETCH_HIT, MISS — and
+        MESSAGE get a handler of their own that skips the dispatch chain.
+        READ_HIT is left out (see the module doc), so the machine builds
+        no event for a plain read hit unless somebody else reads them.
         """
-        rest = [
-            kind for kind in EventKind
-            if kind not in (EventKind.ACCESS, EventKind.MESSAGE,
-                            EventKind.MISS)
-        ]
+        own = (EventKind.ACCESS, EventKind.READ_HIT, EventKind.WRITE_HIT,
+               EventKind.PREFETCH_HIT, EventKind.MISS, EventKind.MESSAGE)
+        rest = [kind for kind in EventKind if kind not in own]
         self._bus = bus
         self._tokens += [
-            bus.subscribe((EventKind.ACCESS,), self._on_access),
+            bus.subscribe((EventKind.WRITE_HIT,), self._on_write_hit),
+            bus.subscribe((EventKind.PREFETCH_HIT,), self._on_prefetch_hit),
+            bus.subscribe((EventKind.MISS,), self._on_miss),
             bus.subscribe((EventKind.MESSAGE,), self._on_message),
             bus.subscribe(rest, self._handle),
         ]
@@ -243,16 +266,25 @@ class InvariantChecker:
         resume point.  ``accesses`` and ``directives`` count only those.
         """
         proto = self.protocol
+        stats = proto.proto_stats
         self._epoch = int(snapshot["epoch"])
         vts = snapshot["barrier_vts"]
         self._last_vt = int(vts[-1]) if vts else 0
         self._done = {int(node) for node in snapshot["done"]}
-        self._traps = proto.proto_stats.sw_traps
-        self._recalls = proto.proto_stats.recalls
+        self._traps = stats.sw_traps
+        self._recalls = stats.recalls
         self._messages = proto.network.total_messages
         self._barriers = self._epoch
         self._node_done = len(self._done)
-        self._hits = proto.totals().hits
+        self._write_hits = self._write_hits0 = stats.write_hits
+        self._prefetch_hits = self._prefetch_hits0 = stats.prefetch_hits
+        self._misses = self._misses0 = stats.demand_misses
+        self._read_hits0 = self._read_hits()
+
+    def _read_hits(self) -> int:
+        """Plain read hits so far, by the protocol's count."""
+        proto = self.protocol
+        return proto.totals().hits - proto.proto_stats.write_hits
 
     def _on_message(self, event) -> None:
         # One call per protocol message — second-hottest path.  Count for
@@ -308,40 +340,69 @@ class InvariantChecker:
         return tuple(chain)
 
     # ------------------------------------------------------------- access
-    def _on_access(self, ev) -> None:
-        # The hottest handler (one per shared reference), subscribed
-        # directly so the bus's dispatch is the only indirection.
-        node, epoch, addr, pc, write, _t, result = ev
-        self._accesses += 1
-        hit = result.kind is _HIT
-        if hit and result.detail != "prefetched":
-            self._hits += 1
+    def _on_write_hit(self, ev) -> None:
+        # The hottest handler (one per plain write hit).  SWMR, checked
+        # inline from what it reads: the writer's line is EXCLUSIVE, the
+        # directory records the writer as owner, and the residency count
+        # says nobody else holds the block.  check_op decides (and words)
+        # anything else, as for every other write.
+        node, epoch, addr, _pc, _write, _t, result = ev
+        self._write_hits += 1
+        self._swmr += 1
         self._recent[node].append(ev)
-        if result.txn >= 0:
-            self._txn_log.append(ev)
         block = addr >> self._shift
-        # A read HIT needs no recheck: the protocol reported HIT
-        # precisely because lookup found the line in the same structure
-        # we would re-read.  Writes and read misses carry a real claim
-        # (the writer holds the only copy, the slow path installed the
-        # line), so those are verified.
-        if write or not hit:
-            if write:
-                self._swmr += 1
-            finding = check_op(
-                self.protocol, "write" if write else "read", node, block,
-            )
+        line = self._sets[node][block & self._set_mask].get(block)
+        entry = self._entries.get(block)
+        if (line is None or line.state is not _EXCLUSIVE or entry is None
+                or entry.state is not _RW or entry.ptr != node
+                or self._residency.get(block) != 1):
+            finding = check_op(self.protocol, "write", node, block)
             if finding is not None:
                 self._fail(finding, epoch, result.txn)
-        # Performance-CICO discipline: touching a block this node
-        # explicitly checked in earlier means a premature check-in.
+
+    def _on_prefetch_hit(self, ev) -> None:
+        # A read of a prefetched line only consumed its arrival; a write
+        # claims SWMR like any other.
+        self._prefetch_hits += 1
+        self._remember_access(ev)
+        if ev.write:
+            self._check_op(ev, "write")
+        self._check_cico(ev)
+
+    def _on_miss(self, ev) -> None:
+        # The slow path installed the line, so every miss is checked.
+        self._misses += 1
+        self._remember_access(ev)
+        self._check_op(ev, "write" if ev.write else "read")
+        self._check_cico(ev)
+
+    def _remember_access(self, ev) -> None:
+        self._recent[ev.node].append(ev)
+        if ev.result.txn >= 0:
+            self._txn_log.append(ev)
+
+    def _check_op(self, ev, op: str) -> None:
+        if op == "write":
+            self._swmr += 1
+        finding = check_op(self.protocol, op, ev.node, ev.addr >> self._shift)
+        if finding is not None:
+            self._fail(finding, ev.epoch, ev.result.txn)
+
+    def _check_cico(self, ev) -> None:
+        """Performance-CICO discipline: touching a block this node
+        explicitly checked in earlier means a premature check-in.  A
+        check-in drops the node's line, so its next reference to the block
+        is a miss or, after a prefetch, a prefetched hit — never a plain
+        hit, which is why plain hits need no lookup."""
+        node = ev.node
         marks = self._cico[node]
+        block = ev.addr >> self._shift
         if marks and marks.get(block) == _IN:
             self._cico_checks += 1
             self._cico_finding(
-                f"node {node} accessed block {block} (pc {pc}) "
+                f"node {node} accessed block {block} (pc {ev.pc}) "
                 f"after checking it in — premature check-in",
-                node=node, epoch=epoch, block=block, txn=result.txn,
+                node=node, epoch=ev.epoch, block=block, txn=ev.result.txn,
             )
             del marks[block]  # the access implicitly re-checked it out
 
@@ -453,13 +514,16 @@ class InvariantChecker:
     def finalize(self, result) -> VerifyReport:
         """Conservation checks against the finished run's counters."""
         self._conservation += 1
+        stats = self.protocol.proto_stats
         pairs = (
             ("software traps", self._traps, result.sw_traps),
             ("recalls", self._recalls, result.recalls),
             ("network messages", self._messages, result.total_messages),
             ("barriers", self._barriers, result.epochs),
             ("node completions", self._node_done, self.protocol.num_nodes),
-            ("cache hits", self._hits, result.stats.hits),
+            ("write hits", self._write_hits, stats.write_hits),
+            ("prefetched hits", self._prefetch_hits, stats.prefetch_hits),
+            ("misses", self._misses, stats.demand_misses),
         )
         for what, observed, counted in pairs:
             if observed != counted:
@@ -471,6 +535,13 @@ class InvariantChecker:
         return self.report()
 
     def report(self) -> VerifyReport:
+        read_hits = self._read_hits()
+        accesses = (
+            read_hits - self._read_hits0
+            + self._write_hits - self._write_hits0
+            + self._prefetch_hits - self._prefetch_hits0
+            + self._misses - self._misses0
+        )
         return VerifyReport(
             label=self.label,
             ok=True,
@@ -482,8 +553,8 @@ class InvariantChecker:
                 "conservation": self._conservation,
             },
             events={
-                "accesses": self._accesses,
-                "hits": self._hits,
+                "accesses": accesses,
+                "hits": read_hits + self._write_hits,
                 "traps": self._traps,
                 "recalls": self._recalls,
                 "messages": self._messages,

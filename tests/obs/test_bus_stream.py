@@ -1,9 +1,12 @@
 """The obs bus's event stream, pinned digest by digest.
 
 For each case below, an observed and verified run (``Observer(profile=True,
-critpath=True)`` plus ``verify=True``) publishes every event kind, and a
-catch-all subscriber hashes every published event in publication order,
-one digest per kind.  Each event is serialized as its type name plus its
+critpath=True)`` plus ``verify=True``) publishes every event kind, and one
+subscriber per kind hashes every event it is handed, in publication order,
+one digest per kind.  An access is published once, on the topic its
+outcome names (READ_HIT, WRITE_HIT, PREFETCH_HIT or MISS); the ACCESS
+digest is a tap on all four, so it covers every access in publication
+order.  Each event is serialized as its type name plus its
 field values in field order, so the digest does not depend on how an event
 type is implemented, only on what it carries.  Cycle counts and BENCH
 files cannot catch two swapped fields of the same type (say ``t`` and
@@ -88,15 +91,17 @@ def record(program, spec) -> dict:
     digests: dict = {}
     counts: dict[str, int] = {}
 
-    def tap(event) -> None:
-        kind = event.kind.name
-        if kind not in digests:
-            digests[kind] = hashlib.sha256()
-            counts[kind] = 0
-        digests[kind].update(encode(event))
-        counts[kind] += 1
+    def tap(kind: str):
+        def record_event(event) -> None:
+            if kind not in digests:
+                digests[kind] = hashlib.sha256()
+                counts[kind] = 0
+            digests[kind].update(encode(event))
+            counts[kind] += 1
+        return record_event
 
-    observer.bus.subscribe(None, tap)
+    for kind in EventKind:
+        observer.bus.subscribe((kind,), tap(kind.name))
     run_program(program, spec.config, spec.params_fn, observer=observer,
                 verify=True)
     return {

@@ -1,12 +1,16 @@
-"""The MISS topic: a copy of every ACCESS event whose outcome is not a hit.
+"""The access topics: each shared reference is published once, on the
+topic its outcome names.
 
-Consumers that read only misses (the trace collector, the Observer's
-metrics and the stall ledger) subscribe to MISS and are never called for
-a hit.  These tests pin the contract on runs of a prefetching variant,
-whose accesses include every outcome: plain and prefetched hits, read and
-write misses, and write faults.  They also pin who still reads ACCESS:
-the verifier, an Observer with ``include_hits``, and a profiling ledger
-only while one of its check-outs is still unreferenced.
+READ_HIT and WRITE_HIT carry plain hits, PREFETCH_HIT hits on a line whose
+prefetch was in flight, and MISS read misses, write misses and write
+faults.  Consumers that read only misses (the trace collector, the
+Observer's metrics and the stall ledger) subscribe to MISS and are never
+called for a hit.  These tests pin the partition on runs of a prefetching
+variant, whose accesses include every outcome.  They also pin who reads
+the hit topics: an Observer with ``include_hits``, the verifier (write
+and prefetched hits only), and a profiling ledger only while one of its
+check-outs is still unreferenced (through ACCESS, the subscription to
+all four topics).
 """
 
 from __future__ import annotations
@@ -19,14 +23,22 @@ from repro.harness.runner import run_program, trace_program
 from repro.machine.config import MachineConfig
 from repro.machine.events import EV_REF
 from repro.machine.machine import Machine
-from repro.obs.events import AccessEvent, EventBus, EventKind, MissEvent
+from repro.obs.events import (
+    ACCESS_TOPICS,
+    AccessEvent,
+    EventBus,
+    EventKind,
+    access_topic,
+)
 from repro.obs.session import Observer
 from repro.workloads.base import get_workload
+
+HIT_TOPICS = (EventKind.READ_HIT, EventKind.WRITE_HIT, EventKind.PREFETCH_HIT)
 
 
 class RecordingBus(EventBus):
     """An event bus that also keeps every event it is asked to publish,
-    subscribed or not."""
+    subscribed or not, with the topic it was published on."""
 
     __slots__ = ("published",)
 
@@ -34,9 +46,14 @@ class RecordingBus(EventBus):
         super().__init__()
         self.published: list = []
 
-    def publish(self, event) -> None:
-        self.published.append(event)
-        super().publish(event)
+    def publish(self, event, kind=None) -> None:
+        topic = kind
+        if topic is None:
+            topic = event.kind
+            if topic is EventKind.ACCESS:
+                topic = access_topic(event)
+        self.published.append((topic, event))
+        super().publish(event, kind)
 
 
 @pytest.fixture(scope="module")
@@ -60,42 +77,52 @@ def _observed_run(program, spec, bus=None, verify=True,
     return bus.published
 
 
-def _observed_verified_run(prefetching, **observer_flags) -> list:
-    return _observed_run(*prefetching, **observer_flags)
+def _topics(published) -> set:
+    return {topic for topic, _ev in published}
 
 
 def test_miss_carries_every_non_hit_access_in_order(prefetching):
-    published = _observed_verified_run(prefetching, critpath=True)
-    accesses = [ev for ev in published if ev.kind is EventKind.ACCESS]
-    misses = [ev for ev in published if ev.kind is EventKind.MISS]
-    details = {(ev.result.kind, ev.result.detail) for ev in accesses}
+    """Every access once, on its outcome's topic: a tap on ACCESS sees
+    them all in publication order, and MISS exactly the ones that are
+    not hits, in the same order."""
+    program, spec = prefetching
+    bus = RecordingBus()
+    every: list = []
+    misses: list = []
+    bus.subscribe((EventKind.ACCESS,), every.append)
+    bus.subscribe((EventKind.MISS,), misses.append)
+    run_program(program, spec.config, spec.params_fn,
+                observer=Observer(bus=bus, critpath=True), verify=True)
+    accesses = [(topic, ev) for topic, ev in bus.published
+                if topic in ACCESS_TOPICS]
+    assert all(type(ev) is AccessEvent and ev.kind is EventKind.ACCESS
+               for _topic, ev in accesses)
     # the run exercises every outcome, prefetched hits included
+    details = {(ev.result.kind, ev.result.detail) for _t, ev in accesses}
     assert (AccessKind.HIT, "") in details
     assert (AccessKind.HIT, "prefetched") in details
     assert {kind for kind, _detail in details} == set(AccessKind)
-
-    assert all(type(ev) is AccessEvent for ev in accesses)
-    assert all(type(ev) is MissEvent for ev in misses)
-    want = [ev for ev in accesses if ev.result.kind is not AccessKind.HIT]
-    assert len(misses) == len(want) > 0
-    # same order, same field values (the result object itself is shared)
-    assert [tuple(ev) for ev in misses] == [tuple(ev) for ev in want]
-    # each MISS follows its reference's ACCESS directly
-    for i, ev in enumerate(published):
-        if ev.kind is EventKind.MISS:
-            before = published[i - 1]
-            assert before.kind is EventKind.ACCESS
-            assert tuple(before) == tuple(ev)
+    # each access is published once, on the topic its outcome names
+    assert every == [ev for _topic, ev in accesses]
+    for topic, ev in accesses:
+        assert topic is access_topic(ev)
+        if topic in (EventKind.READ_HIT, EventKind.WRITE_HIT):
+            assert ev.result.detail == "" and ev.write == (
+                topic is EventKind.WRITE_HIT)
+    want = [ev for ev in every if ev.result.kind is not AccessKind.HIT]
+    assert misses == want and len(misses) > 0
 
 
 @pytest.mark.parametrize("flags", [{}, {"critpath": True}],
                          ids=["metrics", "critpath"])
 def test_observer_publishes_no_access_event(prefetching, flags):
     """Neither the Observer's metrics nor a critical-path ledger reads
-    hits, so the machine builds no AccessEvent for them."""
+    hits, so the machine builds no event for a hit, only for the misses;
+    and the ledger's message books come from the network, so nothing
+    builds a MessageEvent either."""
     published = _observed_run(*prefetching, verify=False, **flags)
-    assert any(ev.kind is EventKind.MISS for ev in published)
-    assert not any(ev.kind is EventKind.ACCESS for ev in published)
+    assert EventKind.MISS in _topics(published)
+    assert not _topics(published) & {*HIT_TOPICS, EventKind.MESSAGE}
 
 
 def test_profile_only_plain_run_publishes_no_access_event(prefetching):
@@ -103,8 +130,32 @@ def test_profile_only_plain_run_publishes_no_access_event(prefetching):
     _program, spec = prefetching
     published = _observed_run(spec.program, spec, verify=False,
                               profile=True)
-    assert any(ev.kind is EventKind.MISS for ev in published)
-    assert not any(ev.kind is EventKind.ACCESS for ev in published)
+    assert EventKind.MISS in _topics(published)
+    assert not _topics(published) & set(HIT_TOPICS)
+
+
+def test_verifier_reads_no_plain_read_hit(prefetching):
+    """The verifier reads write hits, prefetched hits and misses; a plain
+    read hit changes no coherence state, so it builds no event."""
+    published = _observed_run(*prefetching, critpath=True)
+    topics = _topics(published)
+    assert {EventKind.WRITE_HIT, EventKind.PREFETCH_HIT,
+            EventKind.MISS} <= topics
+    assert EventKind.READ_HIT not in topics
+
+
+def test_include_hits_reads_every_access_topic(prefetching):
+    """Hit spans read the three hit topics, miss spans MISS: one span per
+    access, as many as the run's hits and misses."""
+    program, spec = prefetching
+    bus = RecordingBus()
+    observer = Observer(bus=bus, chrome=True, include_hits=True)
+    run_program(program, spec.config, spec.params_fn, observer=observer)
+    assert _topics(bus.published) >= set(ACCESS_TOPICS)
+    spans = [ev for ev in observer.observation.trace_events
+             if ev.get("cat") == "mem"]
+    accesses = [ev for topic, ev in bus.published if topic in ACCESS_TOPICS]
+    assert [span["ts"] for span in spans] == [ev.t for ev in accesses]
 
 
 class _AuditedBus(RecordingBus):
@@ -118,13 +169,13 @@ class _AuditedBus(RecordingBus):
         self.observer = None
         self.windows = 0  # times ACCESS got a subscriber
 
-    def publish(self, event) -> None:
+    def publish(self, event, kind=None) -> None:
         ledger = self.observer.ledger
         unreferenced = [pair for pair, used in
                         ledger._audit.outstanding.items() if not used]
         assert (EventKind.ACCESS in self.subscribed) == bool(unreferenced)
         reading = EventKind.ACCESS in self.subscribed
-        super().publish(event)
+        super().publish(event, kind)
         self.windows += EventKind.ACCESS in self.subscribed and not reading
 
 
@@ -134,12 +185,12 @@ def test_ledger_reads_access_only_while_a_checkout_is_unreferenced(
     bus = _AuditedBus()
     observer = bus.observer = Observer(bus=bus, profile=True)
     run_program(program, spec.config, spec.params_fn, observer=observer)
-    accesses = [ev for ev in bus.published if ev.kind is EventKind.ACCESS]
-    misses = [ev for ev in bus.published if ev.kind is EventKind.MISS]
+    hits_read = [ev for topic, ev in bus.published if topic in HIT_TOPICS]
+    misses = [ev for topic, ev in bus.published if topic is EventKind.MISS]
     assert bus.windows > 1
     # the windows hold some of the run's hits, not all of them
     hits = observer.observation.metric("accesses.hit")
-    assert 0 < sum(ev.result.kind is AccessKind.HIT for ev in accesses) < hits
+    assert 0 < len(hits_read) < hits
     assert 0 < len(misses)
     # every epoch closes its window: nothing reads ACCESS after the run
     assert EventKind.ACCESS not in bus.subscribed
@@ -167,7 +218,7 @@ def test_detach_drops_the_ledgers_access_subscription(prefetching):
 
 def test_miss_alone_publishes_no_access():
     """A bus with only a MISS subscriber gets the misses and the machine
-    builds no ACCESS event at all."""
+    builds no event for the hit."""
     base = 0x1000_0000
 
     def kernel(nid):
@@ -185,4 +236,4 @@ def test_miss_alone_publishes_no_access():
     assert [(ev.pc, ev.result.kind) for ev in misses] == [
         (1, AccessKind.READ_MISS), (3, AccessKind.WRITE_FAULT),
     ]
-    assert bus.published == misses
+    assert bus.published == [(EventKind.MISS, ev) for ev in misses]

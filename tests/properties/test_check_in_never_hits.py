@@ -39,7 +39,7 @@ def runs(draw):
 
 def _plain_hit(rule, node: int, block: int, write: bool) -> bool:
     """Whether the machine would resolve this reference as a plain hit."""
-    sets, mask, _stats, pending, _hit = rule
+    sets, mask, _stats, _proto_stats, pending, _hit = rule
     line = sets[node][block & mask].get(block)
     return (line is not None
             and (not write or line.state is LineState.EXCLUSIVE)

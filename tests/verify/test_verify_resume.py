@@ -87,11 +87,11 @@ class _LosesOneMessage(EventBus):
         super().__init__()
         self.lost = None
 
-    def publish(self, event):
+    def publish(self, event, kind=None):
         if event.kind is EventKind.MESSAGE and self.lost is None:
             self.lost = event
             return
-        super().publish(event)
+        super().publish(event, kind)
 
 
 def test_event_dropped_after_resume_point_is_caught(monkeypatch, tmp_path):
