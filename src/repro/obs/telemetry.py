@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -39,6 +40,7 @@ from repro.obs.export import process_meta, thread_meta, trace_document
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    Histogram,
     MetricsError,
     MetricsRegistry,
     bucket_quantile,
@@ -61,6 +63,13 @@ DISPOSITIONS = ("new", "cached", "coalesced", "requeued")
 #: Chrome-trace process ids for the daemon's two surfaces.
 HTTP_PID = 0
 JOBS_PID = 1
+
+#: trace events a daemon keeps besides its thread names: the newest ones
+#: (a 15 s ``service`` benchmark run records about 2,000)
+TRACE_EVENTS = 8192
+#: the ends of one submission's flow arrow: its start ("s") on the HTTP
+#: span, its step ("t") and finish ("f") on the job run
+FLOW_ENDS = 3
 
 
 # ------------------------------------------------------------ labelled names
@@ -236,12 +245,23 @@ class ServiceTracer:
     workers.  Submission correlation ids double as Perfetto flow ids, so
     the arrow from a ``POST /api/jobs`` span to the job's ``run`` span is
     the same id the structured logs carry in their ``correlation`` field.
+
+    A long-running daemon keeps its thread names and its newest
+    :data:`TRACE_EVENTS` events.  When the oldest event falls out and is
+    one end of a flow arrow, the arrow's other ends go with it (and ends
+    still to come are not kept), so every trace served holds whole
+    arrows only.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.RLock()
-        self._events: list[dict] = []
+        self._meta: list[dict] = []  # thread names, never dropped
+        self._events: OrderedDict[int, dict] = OrderedDict()  # oldest first
+        self._seqs = itertools.count()
+        # flow id -> [ends added so far, keys of its ends still kept,
+        # whether an end fell out]; dropped once every end is gone
+        self._flows: dict[int, list] = {}
         self._ids = itertools.count(1)
         self._t0_mono = time.monotonic()
         self._t0_wall = time.time()
@@ -265,7 +285,38 @@ class ServiceTracer:
     def add(self, event: dict) -> None:
         if self.enabled:
             with self._lock:
-                self._events.append(event)
+                self._keep(event)
+
+    def _keep(self, event: dict) -> None:
+        """Keep ``event`` (lock held), then drop the oldest beyond
+        :data:`TRACE_EVENTS` with the rest of its flow arrow."""
+        events = self._events
+        flow_id = event.get("id")  # only a flow end has one
+        if flow_id is None:
+            events[next(self._seqs)] = event
+        else:
+            flow = self._flows.setdefault(flow_id, [0, [], False])
+            flow[0] += 1
+            if not flow[2]:  # the arrow is still whole
+                seq = next(self._seqs)
+                events[seq] = event
+                flow[1].append(seq)
+            elif flow[0] == FLOW_ENDS:  # the last end of a cut arrow
+                del self._flows[flow_id]
+        while len(events) > TRACE_EVENTS:
+            seq, old = events.popitem(last=False)
+            flow_id = old.get("id")
+            if flow_id is None:
+                continue
+            flow = self._flows[flow_id]
+            for other in flow[1]:
+                if other != seq:
+                    del events[other]
+            if flow[0] == FLOW_ENDS:
+                del self._flows[flow_id]
+            else:  # drop the ends still to come
+                flow[1] = []
+                flow[2] = True
 
     def _ensure_tid(self, pid: int, prefix: str) -> int:
         """Small per-process track id for the calling thread (registers the
@@ -276,7 +327,7 @@ class ServiceTracer:
             if tid is None:
                 counter = self._tid_next.setdefault(pid, itertools.count())
                 tid = self._tids[key] = next(counter)
-                self._events += thread_meta(pid, tid, f"{prefix} {tid}")
+                self._meta += thread_meta(pid, tid, f"{prefix} {tid}")
             return tid
 
     # ---------------------------------------------------------------- spans
@@ -367,7 +418,7 @@ class ServiceTracer:
         shape as :func:`repro.obs.export.chrome_trace`, different clock:
         wall microseconds since daemon start)."""
         with self._lock:
-            events = list(self._events)
+            events = self._meta + list(self._events.values())
         prelude = (process_meta(HTTP_PID, "repro-serve: http")
                    + process_meta(JOBS_PID, "repro-serve: jobs"))
         return trace_document(prelude + events, "ms", {
@@ -420,6 +471,10 @@ class ServiceTelemetry:
     def __post_init__(self) -> None:
         self.tracer = ServiceTracer(enabled=self.enabled)
         self._lock = threading.Lock()
+        # each label tuple's (counter, histogram), resolved on first use:
+        # a request or a finished job costs one bump and one observe
+        self._http: dict[tuple[str, str, int], tuple[Counter, Histogram]] = {}
+        self._jobs: dict[tuple[str, str], tuple[Counter, Histogram]] = {}
         if self.enabled:
             # Pre-create the stable instrument set so the first scrape
             # already carries every family (zero-valued, not absent).
@@ -463,13 +518,19 @@ class ServiceTelemetry:
         if not self.enabled:
             return
         with self._lock:
-            self.registry.counter(
-                labelled("service.jobs.completed", kind=kind, outcome=outcome)
-            ).inc()
-            self.registry.histogram(
-                labelled("service.job.latency_ms", kind=kind),
-                JOB_LATENCY_BUCKETS_MS,
-            ).observe(max(int(dur_s * 1e3), 0))
+            instruments = self._jobs.get((kind, outcome))
+            if instruments is None:
+                instruments = self._jobs[kind, outcome] = (
+                    self.registry.counter(labelled(
+                        "service.jobs.completed", kind=kind, outcome=outcome)),
+                    self.registry.histogram(
+                        labelled("service.job.latency_ms", kind=kind),
+                        JOB_LATENCY_BUCKETS_MS,
+                    ),
+                )
+            count, latency = instruments
+            count.inc()
+            latency.observe(max(int(dur_s * 1e3), 0))
 
     def http_request(
         self, method: str, route: str, status: int, dur_s: float
@@ -477,14 +538,20 @@ class ServiceTelemetry:
         if not self.enabled:
             return
         with self._lock:
-            self.registry.counter(
-                labelled("service.http.requests", method=method, route=route,
-                         status=str(status))
-            ).inc()
-            self.registry.histogram(
-                labelled("service.http.latency_us", route=route),
-                HTTP_LATENCY_BUCKETS_US,
-            ).observe(max(int(dur_s * 1e6), 0))
+            instruments = self._http.get((method, route, status))
+            if instruments is None:
+                instruments = self._http[method, route, status] = (
+                    self.registry.counter(labelled(
+                        "service.http.requests", method=method, route=route,
+                        status=str(status))),
+                    self.registry.histogram(
+                        labelled("service.http.latency_us", route=route),
+                        HTTP_LATENCY_BUCKETS_US,
+                    ),
+                )
+            count, latency = instruments
+            count.inc()
+            latency.observe(max(int(dur_s * 1e6), 0))
 
     # ---------------------------------------------------------------- views
     def snapshot(self) -> dict:
@@ -515,6 +582,7 @@ __all__ = [
     "HTTP_PID",
     "JOBS_PID",
     "JOB_LATENCY_BUCKETS_MS",
+    "TRACE_EVENTS",
     "ServiceTelemetry",
     "ServiceTracer",
     "escape_label",

@@ -5,12 +5,15 @@ and the ``top`` snapshot."""
 from __future__ import annotations
 
 import re
+import time
 import urllib.request
 
 import pytest
 
+from repro.obs import telemetry as telemetry_mod
 from repro.obs.telemetry import (
     ServiceTelemetry,
+    ServiceTracer,
     family_counts,
     labelled,
     prometheus_text,
@@ -327,3 +330,94 @@ def test_next_id_is_allocated_even_when_disabled():
     telemetry = ServiceTelemetry(enabled=False)
     assert telemetry.next_id() == 1
     assert telemetry.next_id() == 2
+
+
+def test_instruments_resolved_once_count_every_request():
+    """Each label tuple's counter and histogram are resolved once and
+    bumped on every later request: the registry reads the same as one
+    that resolves the labelled names per request."""
+    telemetry = ServiceTelemetry()
+    traffic = [("GET", "/api/jobs/{id}", 200, 0.0004),
+               ("POST", "/api/jobs", 202, 0.003),
+               ("GET", "/api/jobs/{id}", 200, 0.0002),
+               ("GET", "/api/jobs/{id}", 404, 0.0001)] * 3
+    for request in traffic:
+        telemetry.http_request(*request)
+    for outcome in ("done", "done", "failed"):
+        telemetry.job_finished("annotate", outcome, 0.02)
+
+    expected = ServiceTelemetry()
+    registry = expected.registry
+    for method, route, status, dur_s in traffic:
+        registry.counter(labelled("service.http.requests", method=method,
+                                  route=route, status=str(status))).inc()
+        registry.histogram(labelled("service.http.latency_us", route=route),
+                           telemetry_mod.HTTP_LATENCY_BUCKETS_US,
+                           ).observe(int(dur_s * 1e6))
+    for outcome in ("done", "done", "failed"):
+        registry.counter(labelled("service.jobs.completed", kind="annotate",
+                                  outcome=outcome)).inc()
+        registry.histogram(labelled("service.job.latency_ms",
+                                    kind="annotate"),
+                           telemetry_mod.JOB_LATENCY_BUCKETS_MS).observe(20)
+    assert telemetry.registry.snapshot() == registry.snapshot()
+    assert telemetry.prometheus() == expected.prometheus()
+
+
+# ------------------------------------------------------------ trace bound
+def _flow_phases(events) -> dict[int, list[str]]:
+    flows: dict[int, list[str]] = {}
+    for event in events:
+        if event.get("cat") == "service":
+            flows.setdefault(event["id"], []).append(event["ph"])
+    return {cid: sorted(phases) for cid, phases in flows.items()}
+
+
+def test_tracer_drops_a_flow_arrow_whole(monkeypatch):
+    """When one end of a flow arrow falls out, its other ends go too,
+    whether they were kept already or are still to come."""
+    monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 4)
+    tracer = ServiceTracer()
+    now = time.time()
+    # span + s, then queued + run + t + f: the s falls out with the span
+    tracer.http_span("POST", "/api/jobs", 202, 0, 5, correlation=7)
+    with tracer.run_job(1, "annotate", now, now, [7]):
+        pass
+    assert _flow_phases(tracer.chrome_trace()["traceEvents"]) == {}
+    assert len(tracer._events) == 2  # queued and run
+    # an s that falls out before its job runs takes the t and f with it
+    tracer.http_span("POST", "/api/jobs", 202, 10, 5, correlation=8)
+    for ts in range(4):
+        tracer.http_span("GET", "/api/jobs/{id}", 200, 20 + ts, 1)
+    with tracer.run_job(2, "annotate", now, now, [8]):
+        pass
+    events = tracer.chrome_trace()["traceEvents"]
+    assert _flow_phases(events) == {}
+    assert len(tracer._events) == 4
+    assert tracer._flows == {}  # no bookkeeping outlives the arrow
+    # a whole arrow within the bound is kept whole
+    monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 64)
+    tracer.http_span("POST", "/api/jobs", 202, 40, 5, correlation=9)
+    with tracer.run_job(3, "annotate", now, now, [9]):
+        pass
+    events = tracer.chrome_trace()["traceEvents"]
+    assert _flow_phases(events) == {9: ["f", "s", "t"]}
+
+
+def test_trace_stays_at_its_bound_with_whole_flow_arrows(live, monkeypatch):
+    """Many cached submissions leave the daemon's trace at its bound, with
+    its thread names and no one-ended flow arrow."""
+    client, queue, _base = live
+    monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 12)
+    run_one_job_plus_cache_hit(client)
+    for _ in range(30):
+        assert client.submit("annotate", PARAMS)["cached"] is True
+    tracer = queue.telemetry.tracer
+    assert len(tracer._events) == 12
+    events = client.trace()["traceEvents"]
+    threads = {(e["pid"], e["args"]["name"]) for e in events
+               if e["name"] == "thread_name"}
+    assert (0, "http 0") in threads and (1, "worker 0") in threads
+    for phases in _flow_phases(events).values():
+        assert phases == ["f", "s", "t"]
+    assert len([e for e in events if e["ph"] != "M"]) == 12
