@@ -283,40 +283,38 @@ class ServiceTracer:
         return max(0, int((wall - self._t0_wall) * 1e6))
 
     def add(self, event: dict) -> None:
-        if self.enabled:
-            with self._lock:
-                self._keep(event)
-
-    def _keep(self, event: dict) -> None:
-        """Keep ``event`` (lock held), then drop the oldest beyond
+        """Keep ``event``, then drop the oldest beyond
         :data:`TRACE_EVENTS` with the rest of its flow arrow."""
-        events = self._events
-        flow_id = event.get("id")  # only a flow end has one
-        if flow_id is None:
-            events[next(self._seqs)] = event
-        else:
-            flow = self._flows.setdefault(flow_id, [0, [], False])
-            flow[0] += 1
-            if not flow[2]:  # the arrow is still whole
-                seq = next(self._seqs)
-                events[seq] = event
-                flow[1].append(seq)
-            elif flow[0] == FLOW_ENDS:  # the last end of a cut arrow
-                del self._flows[flow_id]
-        while len(events) > TRACE_EVENTS:
-            seq, old = events.popitem(last=False)
-            flow_id = old.get("id")
+        if not self.enabled:
+            return
+        with self._lock:
+            events = self._events
+            flow_id = event.get("id")  # only a flow end has one
             if flow_id is None:
-                continue
-            flow = self._flows[flow_id]
-            for other in flow[1]:
-                if other != seq:
-                    del events[other]
-            if flow[0] == FLOW_ENDS:
-                del self._flows[flow_id]
-            else:  # drop the ends still to come
-                flow[1] = []
-                flow[2] = True
+                events[next(self._seqs)] = event
+            else:
+                flow = self._flows.setdefault(flow_id, [0, [], False])
+                flow[0] += 1
+                if not flow[2]:  # the arrow is still whole
+                    seq = next(self._seqs)
+                    events[seq] = event
+                    flow[1].append(seq)
+                elif flow[0] == FLOW_ENDS:  # the last end of a cut arrow
+                    del self._flows[flow_id]
+            while len(events) > TRACE_EVENTS:
+                seq, old = events.popitem(last=False)
+                flow_id = old.get("id")
+                if flow_id is None:
+                    continue
+                flow = self._flows[flow_id]
+                for other in flow[1]:
+                    if other != seq:
+                        del events[other]
+                if flow[0] == FLOW_ENDS:
+                    del self._flows[flow_id]
+                else:  # drop the ends still to come
+                    flow[1] = []
+                    flow[2] = True
 
     def _ensure_tid(self, pid: int, prefix: str) -> int:
         """Small per-process track id for the calling thread (registers the
