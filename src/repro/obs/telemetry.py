@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -69,7 +69,7 @@ JOBS_PID = 1
 TRACE_EVENTS = 8192
 #: the ends of one submission's flow arrow: its start ("s") on the HTTP
 #: span, its step ("t") and finish ("f") on the job run
-FLOW_ENDS = 3
+FLOW_ENDS = frozenset("stf")
 
 
 # ------------------------------------------------------------ labelled names
@@ -247,21 +247,17 @@ class ServiceTracer:
     the same id the structured logs carry in their ``correlation`` field.
 
     A long-running daemon keeps its thread names and its newest
-    :data:`TRACE_EVENTS` events.  When the oldest event falls out and is
-    one end of a flow arrow, the arrow's other ends go with it (and ends
-    still to come are not kept), so every trace served holds whole
-    arrows only.
+    :data:`TRACE_EVENTS` events.  A trace served holds a flow arrow only
+    when all its ends are among those: an arrow that lost its oldest end,
+    or whose job has not run yet (or never runs, for a submission that
+    joined a job already running), is left out whole.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.RLock()
         self._meta: list[dict] = []  # thread names, never dropped
-        self._events: OrderedDict[int, dict] = OrderedDict()  # oldest first
-        self._seqs = itertools.count()
-        # flow id -> [ends added so far, keys of its ends still kept,
-        # whether an end fell out]; dropped once every end is gone
-        self._flows: dict[int, list] = {}
+        self._events: deque[dict] = deque(maxlen=TRACE_EVENTS)
         self._ids = itertools.count(1)
         self._t0_mono = time.monotonic()
         self._t0_wall = time.time()
@@ -283,38 +279,9 @@ class ServiceTracer:
         return max(0, int((wall - self._t0_wall) * 1e6))
 
     def add(self, event: dict) -> None:
-        """Keep ``event``, then drop the oldest beyond
-        :data:`TRACE_EVENTS` with the rest of its flow arrow."""
-        if not self.enabled:
-            return
-        with self._lock:
-            events = self._events
-            flow_id = event.get("id")  # only a flow end has one
-            if flow_id is None:
-                events[next(self._seqs)] = event
-            else:
-                flow = self._flows.setdefault(flow_id, [0, [], False])
-                flow[0] += 1
-                if not flow[2]:  # the arrow is still whole
-                    seq = next(self._seqs)
-                    events[seq] = event
-                    flow[1].append(seq)
-                elif flow[0] == FLOW_ENDS:  # the last end of a cut arrow
-                    del self._flows[flow_id]
-            while len(events) > TRACE_EVENTS:
-                seq, old = events.popitem(last=False)
-                flow_id = old.get("id")
-                if flow_id is None:
-                    continue
-                flow = self._flows[flow_id]
-                for other in flow[1]:
-                    if other != seq:
-                        del events[other]
-                if flow[0] == FLOW_ENDS:
-                    del self._flows[flow_id]
-                else:  # drop the ends still to come
-                    flow[1] = []
-                    flow[2] = True
+        if self.enabled:
+            with self._lock:
+                self._events.append(event)  # the oldest falls out
 
     def _ensure_tid(self, pid: int, prefix: str) -> int:
         """Small per-process track id for the calling thread (registers the
@@ -416,10 +383,17 @@ class ServiceTracer:
         shape as :func:`repro.obs.export.chrome_trace`, different clock:
         wall microseconds since daemon start)."""
         with self._lock:
-            events = self._meta + list(self._events.values())
+            events = list(self._events)
+            threads = list(self._meta)
+        ends: dict[int, set[str]] = {}
+        for event in events:
+            if "id" in event:  # only a flow end has one
+                ends.setdefault(event["id"], set()).add(event["ph"])
+        events = [event for event in events
+                  if "id" not in event or ends[event["id"]] == FLOW_ENDS]
         prelude = (process_meta(HTTP_PID, "repro-serve: http")
                    + process_meta(JOBS_PID, "repro-serve: jobs"))
-        return trace_document(prelude + events, "ms", {
+        return trace_document(prelude + threads + events, "ms", {
             "clock": "wall microseconds since daemon start",
             **{k: str(v) for k, v in (meta or {}).items()},
         })

@@ -5,8 +5,10 @@ and the ``top`` snapshot."""
 from __future__ import annotations
 
 import re
+import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.obs.telemetry import (
 from repro.service.app import serve_background
 from repro.service.cli import _render_top
 from repro.service.client import ServiceClient
+from repro.service import queue as queue_mod
+from repro.service.jobs import execute_job
 from repro.service.queue import JobQueue, ServiceConfig
 
 PARAMS = {"workload": "matmul_racing", "verify": False}
@@ -373,9 +377,9 @@ def _flow_phases(events) -> dict[int, list[str]]:
     return {cid: sorted(phases) for cid, phases in flows.items()}
 
 
-def test_tracer_drops_a_flow_arrow_whole(monkeypatch):
-    """When one end of a flow arrow falls out, its other ends go too,
-    whether they were kept already or are still to come."""
+def test_tracer_serves_whole_flow_arrows_only(monkeypatch):
+    """The tracer keeps its newest TRACE_EVENTS events; a trace serves an
+    arrow only while all three of its ends are among them."""
     monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 4)
     tracer = ServiceTracer()
     now = time.time()
@@ -383,20 +387,17 @@ def test_tracer_drops_a_flow_arrow_whole(monkeypatch):
     tracer.http_span("POST", "/api/jobs", 202, 0, 5, correlation=7)
     with tracer.run_job(1, "annotate", now, now, [7]):
         pass
-    assert _flow_phases(tracer.chrome_trace()["traceEvents"]) == {}
-    assert len(tracer._events) == 2  # queued and run
-    # an s that falls out before its job runs takes the t and f with it
-    tracer.http_span("POST", "/api/jobs", 202, 10, 5, correlation=8)
-    for ts in range(4):
-        tracer.http_span("GET", "/api/jobs/{id}", 200, 20 + ts, 1)
-    with tracer.run_job(2, "annotate", now, now, [8]):
-        pass
     events = tracer.chrome_trace()["traceEvents"]
     assert _flow_phases(events) == {}
+    assert [e["name"] for e in events if e["ph"] == "X"] == [
+        "queued", "run annotate"]
+    # an s whose job has not run yet is not served either
+    tracer.http_span("POST", "/api/jobs", 202, 10, 5, correlation=8)
+    assert _flow_phases(tracer.chrome_trace()["traceEvents"]) == {}
     assert len(tracer._events) == 4
-    assert tracer._flows == {}  # no bookkeeping outlives the arrow
-    # a whole arrow within the bound is kept whole
+    # a whole arrow within the bound is served whole
     monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 64)
+    tracer = ServiceTracer()
     tracer.http_span("POST", "/api/jobs", 202, 40, 5, correlation=9)
     with tracer.run_job(3, "annotate", now, now, [9]):
         pass
@@ -404,20 +405,62 @@ def test_tracer_drops_a_flow_arrow_whole(monkeypatch):
     assert _flow_phases(events) == {9: ["f", "s", "t"]}
 
 
-def test_trace_stays_at_its_bound_with_whole_flow_arrows(live, monkeypatch):
+@contextmanager
+def _daemon(tmp_path):
+    """An in-process daemon, built after any patch of the tracer bound."""
+    queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
+    server, _thread = serve_background(queue)
+    host, port = server.server_address[:2]
+    client = ServiceClient(f"http://{host}:{port}")
+    try:
+        yield client, queue
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        queue.stop()
+
+
+def test_trace_stays_at_its_bound_with_whole_flow_arrows(tmp_path,
+                                                          monkeypatch):
     """Many cached submissions leave the daemon's trace at its bound, with
     its thread names and no one-ended flow arrow."""
-    client, queue, _base = live
     monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 12)
-    run_one_job_plus_cache_hit(client)
-    for _ in range(30):
-        assert client.submit("annotate", PARAMS)["cached"] is True
-    tracer = queue.telemetry.tracer
-    assert len(tracer._events) == 12
-    events = client.trace()["traceEvents"]
+    with _daemon(tmp_path) as (client, queue):
+        run_one_job_plus_cache_hit(client)
+        for _ in range(30):
+            assert client.submit("annotate", PARAMS)["cached"] is True
+        assert len(queue.telemetry.tracer._events) == 12
+        events = client.trace()["traceEvents"]
     threads = {(e["pid"], e["args"]["name"]) for e in events
                if e["name"] == "thread_name"}
     assert (0, "http 0") in threads and (1, "worker 0") in threads
     for phases in _flow_phases(events).values():
         assert phases == ["f", "s", "t"]
-    assert len([e for e in events if e["ph"] != "M"]) == 12
+    assert 0 < len([e for e in events if e["ph"] != "M"]) <= 12
+
+
+def test_submission_joining_a_running_job_serves_no_half_arrow(tmp_path,
+                                                               monkeypatch):
+    """A submission of the same spec while its job runs coalesces onto
+    the job after the run took its flow arrows, so its start never gets
+    a step or a finish: the trace leaves that arrow out and serves the
+    first submission's whole."""
+    running, release = threading.Event(), threading.Event()
+
+    def held(*args, **kwargs):
+        running.set()
+        assert release.wait(60)
+        return execute_job(*args, **kwargs)
+
+    monkeypatch.setattr(queue_mod, "execute_job", held)
+    with _daemon(tmp_path) as (client, _queue):
+        first = client.submit("annotate", PARAMS)
+        assert running.wait(60)
+        again = client.submit("annotate", PARAMS)
+        assert again["disposition"] == "coalesced"
+        assert again["id"] == first["id"]
+        release.set()
+        assert client.wait(first["id"], timeout=120)["state"] == "done"
+        events = client.trace()["traceEvents"]
+    assert _flow_phases(events) == {first["correlation_id"]: ["f", "s", "t"]}
