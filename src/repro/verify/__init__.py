@@ -181,11 +181,9 @@ class InvariantChecker:
         self.strict_cico = strict_cico
         self.label = label
         self._shift = protocol.block_size.bit_length() - 1
-        # what a write hit's SWMR check reads: the writer's set (laid out
-        # as Dir1SWProtocol.hit_path says), the directory entries and the
-        # residency count
-        self._sets = [cache.sets for cache in protocol.caches]
-        self._set_mask = protocol.caches[0].num_sets - 1
+        # what a write hit's SWMR check reads: the writer's set, the
+        # directory entries and the residency count
+        self._sets, self._set_mask, *_ = protocol.hit_path()
         self._entries = protocol.directory.entries()
         self._residency = protocol.residency
         n = protocol.num_nodes
