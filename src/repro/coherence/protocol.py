@@ -114,7 +114,8 @@ class Dir1SWProtocol:
         self.cost = cost or CostModel()
         self.bus = bus
         self.faults = faults
-        self.network = network or Network(hop_latency=self.cost.net_hop, bus=bus)
+        self.network = network or Network(
+            hop_latency=self.cost.net_hop, bus=bus, nodes=num_nodes)
         if faults is not None:
             self.network.faults = faults
         #: block -> how many of this protocol's caches hold it, kept by

@@ -47,11 +47,22 @@ class Network:
     epoch: int = 0
     t: int = 0
     txn: int = -1
+    #: node ids an operation may run for, 0 .. nodes - 1 (the protocol
+    #: passes its node count)
+    nodes: int = 0
     _traffic: Counter = field(default_factory=Counter)
-    _by_node: Counter = field(default_factory=Counter)
+    # messages per context node, a list so that a send costs one indexed
+    # add; its last slot is node -1's (sends outside any operation)
+    _by_node: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._by_node = [0] * (self.nodes + 1)
 
     def begin(self, node: int, t: int, txn: int = -1) -> None:
         """Stamp the context for the sends of one protocol operation."""
+        if not 0 <= node < self.nodes:
+            raise ValueError(
+                f"node {node} is not one of the network's {self.nodes}")
         self.node = node
         self.t = t
         self.txn = txn
@@ -97,11 +108,12 @@ class Network:
         the network was built or last :meth:`reset`.  Checkpoints do not
         carry these counts: a reader takes differences, starting where a
         run started or resumed."""
-        return dict(self._by_node)
+        *nodes, outside = self._by_node
+        return {**dict(enumerate(nodes)), -1: outside}
 
     def reset(self) -> None:
         self._traffic.clear()
-        self._by_node.clear()
+        self._by_node = [0] * (self.nodes + 1)
 
     # ----------------------------------------------------------- checkpoint
     def snapshot_traffic(self) -> dict[str, int]:
