@@ -31,8 +31,8 @@ Responsibilities:
   :class:`~repro.obs.events.EventBus` (Section 3.3's trace collector is one
   subscriber; so are the metrics/timeline/Chrome-trace layers of
   ``repro.obs``).  Each access is published once, on the topic its outcome
-  names: the step loop knows a plain hit's topic from the branch it took,
-  and a protocol outcome's from its kind.
+  names; the step loop picks the topic only when somebody subscribes, so
+  an unobserved run pays nothing for it.
 """
 
 from __future__ import annotations
@@ -293,24 +293,28 @@ class Machine:
                         if is_write:
                             line.dirty = True
                             proto_stats.write_hits += 1
-                            topic = WRITE_HIT
-                        else:
-                            topic = READ_HIT
                         node_stats[nid].hits += 1
                         result = hit
+                    elif is_write:
+                        result = write(nid, block, started)
                     else:
-                        if is_write:
-                            result = write(nid, block, started)
-                        else:
-                            result = read(nid, block, started)
-                        topic = MISS if result.kind is not HIT else PREFETCH_HIT
+                        result = read(nid, block, started)
                     state.clock = started + result.cycles
-                    # one event per access, on its outcome's topic
-                    if subscribed and topic in subscribed:
-                        publish(new(AccessEvent, (
-                            nid, self.epoch, addr, pc, is_write, started,
-                            result,
-                        )), topic)
+                    if subscribed:
+                        # one event per access, on its outcome's topic
+                        # (the shared HIT result is a plain hit's, whoever
+                        # resolved it)
+                        if result is hit:
+                            topic = WRITE_HIT if is_write else READ_HIT
+                        elif result.kind is HIT:
+                            topic = PREFETCH_HIT
+                        else:
+                            topic = MISS
+                        if topic in subscribed:
+                            publish(new(AccessEvent, (
+                                nid, self.epoch, addr, pc, is_write, started,
+                                result,
+                            )), topic)
 
             elif code == EV_BARRIER:
                 _, _compute, pc = event
