@@ -323,9 +323,9 @@ class EventBus:
         """Deliver ``event`` to every subscriber of ``kind``, in order.
 
         ``kind`` defaults to the event's own; an :class:`AccessEvent`
-        goes on its outcome's topic.  The machine names the topic itself,
-        from the shared HIT result a plain hit returns and the write flag,
-        without the tests :func:`access_topic` makes.
+        goes on its outcome's topic.  The machine names the topic itself
+        (from the shared HIT result a plain hit returns and the write
+        flag), which saves the string test :func:`access_topic` makes.
         """
         if kind is None:
             kind = event.kind

@@ -40,8 +40,10 @@ SAMPLE_RE = re.compile(
 META_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
 
 
-@pytest.fixture()
-def live(tmp_path):
+@contextmanager
+def _daemon(tmp_path):
+    """An in-process daemon: (client, queue, base url).  Built on entry,
+    so a test that patches the tracer bound first gets a daemon with it."""
     queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
     server, _thread = serve_background(queue)
     host, port = server.server_address[:2]
@@ -53,6 +55,12 @@ def live(tmp_path):
         server.shutdown()
         server.server_close()
         queue.stop()
+
+
+@pytest.fixture()
+def live(tmp_path):
+    with _daemon(tmp_path) as daemon:
+        yield daemon
 
 
 def fetch(url: str) -> bytes:
@@ -405,28 +413,12 @@ def test_tracer_serves_whole_flow_arrows_only(monkeypatch):
     assert _flow_phases(events) == {9: ["f", "s", "t"]}
 
 
-@contextmanager
-def _daemon(tmp_path):
-    """An in-process daemon, built after any patch of the tracer bound."""
-    queue = JobQueue(ServiceConfig(data_dir=str(tmp_path)))
-    server, _thread = serve_background(queue)
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
-    try:
-        yield client, queue
-    finally:
-        client.close()
-        server.shutdown()
-        server.server_close()
-        queue.stop()
-
-
 def test_trace_stays_at_its_bound_with_whole_flow_arrows(tmp_path,
                                                           monkeypatch):
     """Many cached submissions leave the daemon's trace at its bound, with
     its thread names and no one-ended flow arrow."""
     monkeypatch.setattr(telemetry_mod, "TRACE_EVENTS", 12)
-    with _daemon(tmp_path) as (client, queue):
+    with _daemon(tmp_path) as (client, queue, _base):
         run_one_job_plus_cache_hit(client)
         for _ in range(30):
             assert client.submit("annotate", PARAMS)["cached"] is True
@@ -454,7 +446,7 @@ def test_submission_joining_a_running_job_serves_no_half_arrow(tmp_path,
         return execute_job(*args, **kwargs)
 
     monkeypatch.setattr(queue_mod, "execute_job", held)
-    with _daemon(tmp_path) as (client, _queue):
+    with _daemon(tmp_path) as (client, _queue, _base):
         first = client.submit("annotate", PARAMS)
         assert running.wait(60)
         again = client.submit("annotate", PARAMS)
