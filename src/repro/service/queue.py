@@ -177,10 +177,19 @@ class JobQueue:
             kind, params, verify_default=self.config.verify_default
         )
         key = job_key(spec)
-        row, disposition = self.db.submit(
-            key, kind, json.dumps(spec, sort_keys=True)
-        )
         correlation = self.telemetry.next_id()
+        # The ledger read and the flow's registration share one lock with
+        # the end of a run (_execute_row), which drops the flows of the
+        # submissions that joined it: a submission that reads the ledger
+        # after that finds the job done or failed, never running.
+        with self._flow_lock:
+            row, disposition = self.db.submit(
+                key, kind, json.dumps(spec, sort_keys=True)
+            )
+            if disposition != "cached":
+                self._pending_flows.setdefault(row["id"], []).append(
+                    correlation
+                )
         self.stats.bump("submitted")
         if disposition == "cached":
             self.stats.bump("cache_hits")
@@ -188,11 +197,6 @@ class JobQueue:
             self.stats.bump("coalesced")
         elif disposition == "requeued":
             self.stats.bump("requeued")
-        if disposition != "cached":
-            with self._flow_lock:
-                self._pending_flows.setdefault(row["id"], []).append(
-                    correlation
-                )
         self.telemetry.submission(disposition)
         if disposition == "requeued":
             self.telemetry.retry()
@@ -285,6 +289,11 @@ class JobQueue:
                 row["started_at"] or time.time(), correlations,
             ):
                 outcome = self._execute_inner(row, spec, artifact_dir)
+            # submissions that coalesced onto the job while it ran: their
+            # arrows never reach this run, and the ledger row has left
+            # 'running', so no later one can join them
+            with self._flow_lock:
+                self._pending_flows.pop(row["id"], None)
             self.telemetry.job_finished(
                 row["kind"], outcome, time.monotonic() - started
             )

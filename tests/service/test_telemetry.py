@@ -446,7 +446,7 @@ def test_submission_joining_a_running_job_serves_no_half_arrow(tmp_path,
         return execute_job(*args, **kwargs)
 
     monkeypatch.setattr(queue_mod, "execute_job", held)
-    with _daemon(tmp_path) as (client, _queue, _base):
+    with _daemon(tmp_path) as (client, queue, _base):
         first = client.submit("annotate", PARAMS)
         assert running.wait(60)
         again = client.submit("annotate", PARAMS)
@@ -456,3 +456,6 @@ def test_submission_joining_a_running_job_serves_no_half_arrow(tmp_path,
         assert client.wait(first["id"], timeout=120)["state"] == "done"
         events = client.trace()["traceEvents"]
     assert _flow_phases(events) == {first["correlation_id"]: ["f", "s", "t"]}
+    # the joined submission's flow went with the run (the workers are
+    # stopped now, so the run has ended)
+    assert queue._pending_flows == {}
