@@ -83,8 +83,10 @@ def _cached_job(workload: str, verify: bool):
 
 
 def _cold_run(workload: str, verify: bool) -> None:
+    from repro.harness.pool import clear_variant_cache
     from repro.obs.baseline import bench_workload
 
+    clear_variant_cache()  # a first execution traces and annotates too
     bench_workload(workload, verify=verify)
 
 

@@ -19,8 +19,9 @@ executed through :class:`~repro.harness.pool.SweepPool`: ``--jobs N`` (or
 byte-identical determinism contract — the table, the per-run obs artefacts
 and the sweep ledger are the same bytes at any job count.  ``--jobs 1``
 (the default) runs everything inline in this process.  A run that fails
-(watchdog, verify violation, worker crash) is retried once and then
-reported in a structured error table; the sweep itself completes.
+(watchdog, worker crash) is retried once and then reported in a
+structured error table; a verify violation, which a retry would only
+repeat, is reported there at once.  The sweep itself completes.
 
 Run ``python -m repro.harness.figure6`` (or the ``cachier-figure6`` console
 script) to print the table.
@@ -31,8 +32,15 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field
 
-from repro.harness.pool import RunTask, SweepPool, render_errors, summarize_failures
+from repro.harness.pool import (
+    RunOutcome,
+    RunTask,
+    SweepPool,
+    render_errors,
+    summarize_failures,
+)
 from repro.harness.reporting import render_table
+from repro.harness.runner import RunSpec
 from repro.harness.variants import (
     CACHIER,
     CACHIER_PREFETCH,
@@ -80,37 +88,15 @@ class Fig6Sweep:
     errors: list = field(default_factory=list)  # failed RunOutcomes
 
 
-def _obs_factory(name: str, obs_dir: str):
-    """Per-variant Observer factory writing Chrome trace + JSONL manifest
-    under ``obs_dir`` (kept for API compatibility; the export path itself
-    lives in :func:`repro.obs.export.exporting_observer` so pool workers
-    share it)."""
-    from repro.obs.export import exporting_observer
-
-    def factory(variant: str):
-        return exporting_observer(name, variant, obs_dir)
-
-    return factory
-
-
 def run_benchmark(
     name: str,
     include_prefetch: bool = True,
     policy=None,
-    obs_dir: str | None = None,
-    faults_seed: int | None = None,
-    verify: bool = False,
-    sweep=None,
     **kwargs,
 ) -> Fig6Row:
-    """One benchmark's row, run inline (the single-workload debugging
-    entry point; the sweep proper goes through :func:`sweep_figure6`).
-
-    ``sweep`` (a :class:`~repro.harness.checkpoint.SweepState`) makes the
-    run restartable: variants it records as completed are not re-run —
-    their cycles come from the ledger and their artefacts are already on
-    disk — so a resumed sweep produces the same table and the same
-    per-variant trace/manifest files as an uninterrupted one."""
+    """One benchmark's row, run inline at any workload size (``kwargs``
+    go to the workload factory); the sweep proper goes through
+    :func:`sweep_figure6`."""
     from repro.cachier.annotator import Policy
 
     spec = get_workload(name, **kwargs)
@@ -120,21 +106,8 @@ def run_benchmark(
         include_prefetch=include_prefetch,
     )
     row = Fig6Row(benchmark=name)
-    factory = _obs_factory(name, obs_dir) if obs_dir else None
     for variant in variants.programs:
-        key = f"{name}/{variant}"
-        if sweep is not None and key in sweep.completed:
-            row.cycles[variant] = sweep.completed[key]
-            continue
-        result = variants.run(
-            variant,
-            factory(variant) if factory else None,
-            faults_seed=faults_seed,
-            verify=verify,
-        )
-        row.cycles[variant] = result.cycles
-        if sweep is not None:
-            sweep.mark(key, result.cycles)
+        row.cycles[variant] = variants.run(variant).cycles
     return row
 
 
@@ -143,22 +116,25 @@ def plan_tasks(
     obs_dir: str | None = None, faults_seed: int | None = None,
     verify: bool = False,
 ) -> list[RunTask]:
-    """The sweep's work-list: one pool task per (benchmark, variant), in
-    table order.  Enumerating variants needs only the workload spec, not
-    the (expensive) trace + annotation — workers pay that, memoised."""
+    """The sweep's work-list: one pool ``run`` task per (benchmark,
+    variant), in table order.  Enumerating variants needs only the
+    workload spec, not the (expensive) trace + annotation — workers pay
+    that, memoised.  With ``obs_dir`` every run is fully observed and
+    exports its trace and manifest there."""
     from repro.cachier.annotator import Policy
 
-    policy = policy or Policy.PERFORMANCE
+    policy = Policy(policy or Policy.PERFORMANCE).value
+    observed = obs_dir is not None
     tasks = []
     for name in benchmarks:
         spec = get_workload(name)
         for variant in planned_variants(spec, include_prefetch):
-            tasks.append(RunTask.make(
-                "figure6", f"{name}/{variant}",
-                workload=name, variant=variant, policy=policy.value,
-                include_prefetch=include_prefetch, obs_dir=obs_dir,
-                faults_seed=faults_seed, verify=verify,
-            ))
+            run = RunSpec(
+                name, variant, policy, profile=observed, critpath=observed,
+                chrome=observed, verify=verify, faults=faults_seed,
+            )
+            tasks.append(RunTask.make("run", run.label, spec=run,
+                                      obs_dir=obs_dir))
     return tasks
 
 
@@ -204,16 +180,24 @@ def sweep_figure6(
         if sweep is None or task.key not in sweep.completed
     ]
 
+    errors: list[RunOutcome] = []
+
     def on_result(outcome):
+        if outcome.ok and outcome.value["cycles"] is None:
+            # a verify violation: the run's result, and the sweep's failure
+            outcome = RunOutcome(outcome.task, ok=False, error={
+                "kind": "VerifyError",
+                "message": outcome.value["verify"]["error"].splitlines()[0],
+            })
         if not outcome.ok:
+            errors.append(outcome)
             return
         name, variant = outcome.task.key.split("/", 1)
         rows[name].cycles[variant] = outcome.value["cycles"]
         if sweep is not None:
             sweep.mark(outcome.task.key, outcome.value["cycles"])
 
-    outcomes = SweepPool(jobs=jobs).run(todo, on_result)
-    errors = [out for out in outcomes if not out.ok]
+    SweepPool(jobs=jobs).run(todo, on_result)
     return Fig6Sweep(rows=[rows[name] for name in benchmarks], errors=errors)
 
 

@@ -17,14 +17,15 @@ completion order.  ``tests/harness/test_parallel_determinism.py`` and the
 ``sweep-parallel`` CI job diff the two paths byte for byte.
 
 **Graceful worker failure.**  A run that raises a
-:class:`~repro.errors.ReproError` (a watchdog kill, a verify violation, a
-corrupt input) fails only itself: the worker returns a structured error
-outcome and the sweep continues.  A run whose worker process *dies*
-(segfault, ``os._exit``, OOM kill) breaks the executor; the pool rebuilds
-it and re-runs every unharvested task in an isolated single-worker pool so
-the crash can be attributed to exactly one task.  Either way the task is
-retried once and, if it fails again, the sweep completes with a structured
-per-run error row instead of dying.
+:class:`~repro.errors.ReproError` (a watchdog kill, a corrupt input) fails
+only itself: the worker returns a structured error outcome and the sweep
+continues.  A run whose worker process *dies* (segfault, ``os._exit``, OOM
+kill) breaks the executor; the pool rebuilds it and re-runs every
+unharvested task in an isolated single-worker pool so the crash can be
+attributed to exactly one task.  Either way the task is retried once and,
+if it fails again, the sweep completes with a structured per-run error
+row instead of dying.  A verify violation is not a failure here but the
+run's result, which the ``run`` task returns (see :func:`_exec_run`).
 
 **In-process debugging.**  ``jobs=1`` (the default without ``--jobs`` /
 ``REPRO_JOBS``) executes every task inline in the parent process — same
@@ -49,6 +50,9 @@ CRASH_ENV = "REPRO_POOL_CRASH"
 JOBS_ENV = "REPRO_JOBS"
 #: exit status of a deliberately crashed worker (test hook).
 _CRASH_STATUS = 32
+#: attempts per task: a failed task is retried once before its error
+#: outcome is final
+MAX_ATTEMPTS = 2
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -160,19 +164,37 @@ def _exec_probe(value=None, fail=False, sleep=0.0):
     return value
 
 
-def _exec_figure6(
-    workload, variant, policy="performance", include_prefetch=True,
-    obs_dir=None, faults_seed=None, verify=False,
-):
-    """One Figure-6 cell: run ``variant`` of ``workload``, exporting obs
-    artefacts when ``obs_dir`` is set, and return its cycle count."""
-    from repro.harness.runner import run_workload_variant
+def _exec_run(spec, obs_dir=None):
+    """One run of a named variant (a :class:`~repro.harness.runner.RunSpec`)
+    through :func:`~repro.harness.runner.execute`; returns its cycles and,
+    when verified, its report as a dict.
 
-    result = run_workload_variant(
-        workload, variant, policy=policy, include_prefetch=include_prefetch,
-        obs_dir=obs_dir, faults_seed=faults_seed, verify=verify,
-    )
-    return {"cycles": result.cycles}
+    With ``obs_dir`` the run's Chrome trace and JSONL manifest are written
+    there (``<workload>-<variant>.trace.json`` / ``.manifest.jsonl``, ``+``
+    in variant names mapped to ``_``) by whichever process executes it —
+    the bytes are the same either way, because the simulation is seeded
+    and pure.  A :class:`~repro.errors.VerifyError` is a *result*, not a
+    pool failure: the run is deterministic, so a retry would only repeat
+    it.  It comes back as ``cycles: None`` with the failure report.
+    """
+    from repro.errors import VerifyError
+    from repro.harness.runner import execute
+
+    try:
+        result, obs = execute(spec)
+    except VerifyError as exc:
+        return {"cycles": None, "verify": exc.report.as_dict()}
+    if obs_dir:
+        from repro.obs.export import write_chrome_trace, write_manifest
+
+        os.makedirs(obs_dir, exist_ok=True)
+        stem = os.path.join(
+            obs_dir, f"{spec.workload}-{spec.variant}".replace("+", "_"))
+        write_chrome_trace(obs, stem + ".trace.json")
+        write_manifest(obs, stem + ".manifest.jsonl")
+    report = result.extra.get("verify_report")
+    return {"cycles": result.cycles,
+            "verify": report.as_dict() if report is not None else None}
 
 
 def _exec_bench(workload, out_dir, variants=None, trace_dir=None,
@@ -191,50 +213,6 @@ def _exec_bench(workload, out_dir, variants=None, trace_dir=None,
     }
 
 
-def _exec_verify(
-    workload, variant, policy="performance", faults_seed=None, strict=False,
-):
-    """One ``repro-verify`` unit.  A :class:`VerifyError` is a *domain*
-    failure, not a pool failure: it is caught here and returned as a value
-    (``ok=False`` plus the failure report) so it is not pointlessly
-    retried; watchdog kills and crashes still go through pool retry."""
-    from repro.errors import VerifyError
-    from repro.harness.runner import run_program
-    from repro.workloads.base import get_workload
-
-    spec = get_workload(workload)
-    vs = cached_variants(workload, policy, include_prefetch=True)
-    program = vs.programs.get(variant)
-    label = f"{workload}/{variant}"
-    if program is None:
-        return {"label": label, "skipped": True}
-    try:
-        result, _ = run_program(
-            program, spec.config, spec.params_fn,
-            faults_seed=faults_seed, verify=True,
-            strict_verify=strict, verify_label=label,
-        )
-    except VerifyError as exc:
-        report = getattr(exc, "report", None)
-        return {
-            "label": label,
-            "ok": False,
-            "error": str(exc).splitlines()[0],
-            "report": (
-                report.as_dict() if report is not None
-                else {"label": label, "ok": False, "error": str(exc)}
-            ),
-        }
-    report = result.extra["verify_report"]
-    return {
-        "label": label,
-        "ok": True,
-        "checks": sum(report.checks.values()),
-        "warnings": len(report.warnings),
-        "report": report.as_dict(),
-    }
-
-
 def _exec_mc(config, states, mutate=None):
     """One model-checker frontier partition: expand every state in the
     chunk under the given exploration config (see
@@ -246,9 +224,8 @@ def _exec_mc(config, states, mutate=None):
 
 _EXECUTORS = {
     "probe": _exec_probe,
-    "figure6": _exec_figure6,
+    "run": _exec_run,
     "bench": _exec_bench,
-    "verify": _exec_verify,
     "mc": _exec_mc,
 }
 
@@ -260,22 +237,21 @@ _VARIANT_CACHE: OrderedDict = OrderedDict()
 _VARIANT_CACHE_MAX = 3
 
 
-def cached_variants(workload: str, policy, include_prefetch: bool):
-    """Per-worker memoised :func:`~repro.harness.variants.build_variants`."""
+def cached_variants(workload: str, policy):
+    """Per-worker memoised :func:`~repro.harness.variants.build_variants`
+    (prefetch variants included, so every variant of a workload and policy
+    shares one entry)."""
     from repro.cachier.annotator import Policy
     from repro.harness.variants import build_variants
     from repro.workloads.base import get_workload
 
     policy = Policy(policy)
-    cache_key = (workload, policy.value, bool(include_prefetch))
+    cache_key = (workload, policy.value)
     hit = _VARIANT_CACHE.get(cache_key)
     if hit is not None:
         _VARIANT_CACHE.move_to_end(cache_key)
         return hit
-    vs = build_variants(
-        get_workload(workload), policy=policy,
-        include_prefetch=include_prefetch,
-    )
+    vs = build_variants(get_workload(workload), policy=policy)
     _VARIANT_CACHE[cache_key] = vs
     while len(_VARIANT_CACHE) > _VARIANT_CACHE_MAX:
         _VARIANT_CACHE.popitem(last=False)
@@ -331,12 +307,11 @@ class SweepPool:
 
     ``jobs == 1`` executes inline (no subprocess); a simulated crash via
     :data:`CRASH_ENV` then becomes a structured error row rather than
-    killing the parent.  Failed tasks are retried ``retries`` times before
-    their error outcome is finalized.
+    killing the parent.  A failed task runs :data:`MAX_ATTEMPTS` times
+    before its error outcome is finalized.
     """
 
     jobs: int | None = None
-    retries: int = 1
     _delivered: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -364,9 +339,6 @@ class SweepPool:
                 on_result(outcomes[self._delivered])
             self._delivered += 1
 
-    def _max_attempts(self) -> int:
-        return 1 + max(0, self.retries)
-
     # --------------------------------------------------------------- inline
     def _run_inline(self, tasks, on_result) -> list[RunOutcome]:
         clear_variant_cache()  # serial sweeps build fresh, like pre-pool
@@ -383,7 +355,7 @@ class SweepPool:
                         )
                     else:
                         out = _execute_task(task)
-                    if out.ok or attempts >= self._max_attempts():
+                    if out.ok or attempts >= MAX_ATTEMPTS:
                         out.attempts = attempts
                         outcomes[i] = out
                         break
@@ -422,7 +394,7 @@ class SweepPool:
                     if exc is not None:
                         raise exc  # programming error from a worker
                     out = future.result()
-                    if out.ok or attempts[i] >= self._max_attempts():
+                    if out.ok or attempts[i] >= MAX_ATTEMPTS:
                         out.attempts = attempts[i]
                         outcomes[i] = out
                     else:
@@ -443,7 +415,7 @@ class SweepPool:
                             raise exc
                         out = future.result()
                     if out is not None and (
-                        out.ok or attempts[i] >= self._max_attempts()
+                        out.ok or attempts[i] >= MAX_ATTEMPTS
                     ):
                         out.attempts = attempts[i]
                         outcomes[i] = out
@@ -476,14 +448,14 @@ class SweepPool:
                 finally:
                     executor.shutdown(wait=False, cancel_futures=True)
                 if out is None:  # crashed again, alone: it is the culprit
-                    if attempts[i] >= self._max_attempts():
+                    if attempts[i] >= MAX_ATTEMPTS:
                         outcomes[i] = RunOutcome(
                             tasks[i], ok=False, error=dict(_CRASH_ERROR),
                             attempts=attempts[i],
                         )
                     else:
                         attempts[i] += 1
-                elif out.ok or attempts[i] >= self._max_attempts():
+                elif out.ok or attempts[i] >= MAX_ATTEMPTS:
                     out.attempts = attempts[i]
                     outcomes[i] = out
                 else:

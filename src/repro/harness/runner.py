@@ -27,25 +27,27 @@ Robustness hooks (all optional, all off by default):
   (machine state + shared-store values) after every barrier and, on
   ``resume=True``, fast-forward a fresh run from the last complete one.
 
-Sweeps (figure6, bench, verify) do not call :func:`run_program` in a loop
-any more: they submit :func:`run_workload_variant` units through the
-process pool (:mod:`repro.harness.pool`), which executes them across
+A run of a *named* workload variant is a :class:`RunSpec`, and
+:func:`execute` is the one place such a spec becomes a program and an
+observer.  The CLIs, the sweep pool's ``run`` and ``bench`` tasks and the
+service's observed jobs all go through it; the pool executes runs across
 workers — or inline at ``--jobs 1`` — with byte-identical results.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cachier.annotator import Cachier, CachierResult, Policy
-from repro.errors import VerifyError
+from repro.errors import VerifyError, WorkloadError
 from repro.faults import make_injector
 from repro.lang.ast import Program
 from repro.lang.interp import Interpreter, SharedStore
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine, RunResult
 from repro.obs.events import EventBus
-from repro.obs.session import Observer
+from repro.obs.session import Observation, Observer
 from repro.trace.collector import TraceCollector
 from repro.trace.records import Trace
 
@@ -111,6 +113,8 @@ def _run_machine(
             resume_from=resume_snap,
             on_resume=on_resume,
         )
+        if checker is not None:
+            result.extra["verify_report"] = checker.finalize(result)
     except VerifyError as exc:
         if checker is not None:
             exc.report = checker.failure_report(exc)
@@ -118,8 +122,6 @@ def _run_machine(
     finally:
         if checker is not None:
             checker.detach()  # the bus may be a caller's, shared across runs
-    if checker is not None:
-        result.extra["verify_report"] = checker.finalize(result)
     if machine.faults is not None:
         result.extra["fault_stats"] = machine.faults.stats.as_dict()
     return result
@@ -219,35 +221,71 @@ def run_program(
     return result, store
 
 
-def run_workload_variant(
-    workload: str,
-    variant: str,
-    policy: str = "performance",
-    include_prefetch: bool = True,
-    obs_dir: str | None = None,
-    faults_seed: int | None = None,
-    verify: bool = False,
-) -> RunResult:
-    """Build (memoised per process) and execute one named workload variant.
+@dataclass(frozen=True)
+class RunSpec:
+    """One timing run of a named workload variant and what watches it.
 
-    This is the unit of work the sweep pool fans out: everything is named
-    by plain picklable values, the variant set comes from the per-process
-    memo (:func:`repro.harness.pool.cached_variants`), and with ``obs_dir``
-    the run's Chrome trace + JSONL manifest are written to their final
-    per-run paths by whichever process executes it — the bytes are the
-    same either way, because the simulation is seeded and pure.
+    Plain picklable data, so a sweep task can carry it to a worker.
+    ``observe`` attaches an :class:`Observer` for the metrics and the
+    epoch timeline alone; ``profile``, ``critpath`` and ``chrome`` each
+    attach one too (see :class:`Observer` for what each reports).
+    """
+
+    workload: str
+    variant: str = "plain"
+    policy: str = "performance"
+    observe: bool = False
+    profile: bool = False
+    critpath: bool = False
+    chrome: bool = False
+    include_hits: bool = False
+    verify: bool = False
+    strict: bool = False
+    faults: int | None = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.workload}/{self.variant}"
+
+
+def execute(spec: RunSpec) -> tuple[RunResult, Observation | None]:
+    """Run ``spec``: the run's result and, when an observer flag is set,
+    its :class:`Observation` (``None`` otherwise).
+
+    The plain variant is the workload's own program; every other variant
+    comes from the per-process memo
+    (:func:`repro.harness.pool.cached_variants`), so a worker or the
+    daemon traces and annotates a workload once for all its runs.  A
+    violation raises :class:`~repro.errors.VerifyError` with the failure
+    report on ``exc.report``.
     """
     from repro.harness.pool import cached_variants
+    from repro.harness.variants import PLAIN, planned_variants
+    from repro.workloads.base import get_workload
 
+    wspec = get_workload(spec.workload)
+    available = planned_variants(wspec)
+    if spec.variant not in available:
+        raise WorkloadError(
+            f"workload {spec.workload!r} has no {spec.variant!r} variant "
+            f"(available: {sorted(available)})"
+        )
+    program = wspec.program if spec.variant == PLAIN else cached_variants(
+        spec.workload, spec.policy).programs[spec.variant]
     observer = None
-    if obs_dir:
-        from repro.obs.export import exporting_observer
-
-        observer = exporting_observer(workload, variant, obs_dir)
-    variants = cached_variants(workload, policy, include_prefetch)
-    return variants.run(
-        variant, observer, faults_seed=faults_seed, verify=verify
+    if spec.observe or spec.profile or spec.critpath or spec.chrome:
+        observer = Observer(
+            chrome=spec.chrome, include_hits=spec.include_hits,
+            profile=spec.profile, critpath=spec.critpath,
+            meta={"name": spec.label, "workload": spec.workload,
+                  "variant": spec.variant},
+        )
+    result, _ = run_program(
+        program, wspec.config, wspec.params_fn, observer,
+        faults_seed=spec.faults, verify=spec.verify,
+        strict_verify=spec.strict, verify_label=spec.label,
     )
+    return result, observer.observation if observer is not None else None
 
 
 def annotate_workload(

@@ -79,7 +79,6 @@ def _variant_record(result, obs) -> dict:
 def bench_workload(
     name: str,
     variants=BENCH_VARIANTS,
-    policy=None,
     trace_dir: str | None = None,
     verify: bool = False,
 ) -> dict:
@@ -93,54 +92,29 @@ def bench_workload(
     are identical with and without; a violation raises
     :class:`~repro.errors.VerifyError` and fails the bench.
     """
-    from repro.cachier.annotator import Policy
-    from repro.harness.variants import PLAIN, build_variants
+    from repro.harness.runner import RunSpec, execute
     from repro.obs.export import write_chrome_trace
-    from repro.obs.session import Observer
     from repro.workloads.base import get_workload
 
-    spec = get_workload(name)
-    programs = {PLAIN: spec.program}
-    if any(v != PLAIN for v in variants):
-        built = build_variants(
-            spec,
-            policy=policy or Policy.PERFORMANCE,
-            include_prefetch=any(v.endswith("+pf") for v in variants),
-        )
-        programs.update(built.programs)
     out: dict = {
         "version": BENCH_VERSION,
         "workload": name,
-        **spec.bench_meta(),
+        **get_workload(name).bench_meta(),
         "variants": {},
     }
     chrome = trace_dir is not None
     if chrome:
         os.makedirs(trace_dir, exist_ok=True)
-    from repro.harness.runner import run_program
-
     for variant in variants:
-        if variant not in programs:
-            raise ObsError(
-                f"workload {name!r} has no variant {variant!r} "
-                f"(available: {sorted(programs)})"
-            )
-        observer = Observer(
-            chrome=chrome, profile=True, critpath=True,
-            meta={"name": f"{name}/{variant}", "workload": name,
-                  "variant": variant},
-        )
-        result, _ = run_program(
-            programs[variant], spec.config, spec.params_fn, observer=observer,
-            verify=verify, verify_label=f"{name}/{variant}",
-        )
-        out["variants"][variant] = _variant_record(result, observer.observation)
+        result, obs = execute(RunSpec(
+            name, variant, profile=True, critpath=True, chrome=chrome,
+            verify=verify,
+        ))
+        out["variants"][variant] = _variant_record(result, obs)
         if chrome:
             stem = f"{name}-{variant}".replace("+", "_")
-            write_chrome_trace(
-                observer.observation,
-                os.path.join(trace_dir, stem + ".trace.json"),
-            )
+            write_chrome_trace(obs, os.path.join(trace_dir,
+                                                 stem + ".trace.json"))
     return out
 
 

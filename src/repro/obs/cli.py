@@ -38,7 +38,7 @@ from repro.errors import ObsError
 from repro.harness.reporting import render_table
 from repro.obs.export import read_manifest, write_chrome_trace, write_manifest
 from repro.obs.metrics import counter_delta
-from repro.obs.session import Observation, Observer
+from repro.obs.session import Observation
 
 #: scalar metrics shown as per-epoch deltas in the summary tables
 _EPOCH_COLUMNS = (
@@ -96,63 +96,14 @@ def render_observation(obs: Observation) -> str:
 
 
 # ---------------------------------------------------------------- commands
-def _resolve_variant(workload: str, variant: str, policy: str):
-    """Build (spec, program) for one workload variant, annotating when the
-    variant needs it.  Shared by ``run``, ``profile`` and ``critpath``."""
-    from repro.cachier.annotator import Policy
-    from repro.harness.variants import PLAIN, build_variants
-    from repro.workloads.base import get_workload
-
-    spec = get_workload(workload)
-    if variant == PLAIN:
-        return spec, spec.program
-    variants = build_variants(
-        spec,
-        policy=Policy(policy),
-        include_prefetch=variant.endswith("+pf"),
-    )
-    if variant not in variants.programs:
-        raise ObsError(
-            f"workload {workload!r} has no {variant!r} variant "
-            f"(available: {sorted(variants.programs)})"
-        )
-    return spec, variants.programs[variant]
-
-
-def _observed_variant(args, **flags) -> Observation:
-    """Run ``args``' workload variant under ``Observer(**flags)``."""
-    from repro.harness.runner import run_program
-
-    spec, program = _resolve_variant(args.workload, args.variant, args.policy)
-    observer = Observer(
-        meta={"name": f"{spec.name}/{args.variant}",
-              "workload": args.workload, "variant": args.variant},
-        **flags,
-    )
-    run_program(program, spec.config, spec.params_fn, observer=observer)
-    return observer.observation
-
-
 def _cmd_run(args) -> int:
-    from repro.harness.runner import run_program
+    from repro.harness.runner import RunSpec, execute
 
-    spec, program = _resolve_variant(args.workload, args.variant, args.policy)
-    observer = Observer(
+    result, obs = execute(RunSpec(
+        args.workload, args.variant, args.policy, observe=True,
         chrome=bool(args.trace_out), include_hits=args.include_hits,
-        meta={
-            "name": f"{spec.name}/{args.variant}",
-            "workload": args.workload,
-            "variant": args.variant,
-            "policy": args.policy,
-            "num_nodes": spec.config.num_nodes,
-        },
-    )
-    result, _ = run_program(
-        program, spec.config, spec.params_fn, observer=observer,
-        faults_seed=args.faults, verify=args.verify,
-    )
-    obs = observer.observation
-    assert obs is not None
+        verify=args.verify, faults=args.faults,
+    ))
     print(render_observation(obs))
     if args.faults is not None:
         fstats = result.extra["fault_stats"]
@@ -216,7 +167,11 @@ def _cmd_profile(args) -> int:
             name=f"{spec.name}/trace",
         )
     else:
-        report = _observed_variant(args, profile=True).attrib
+        from repro.harness.runner import RunSpec, execute
+
+        _, obs = execute(RunSpec(args.workload, args.variant, args.policy,
+                                 profile=True))
+        report = obs.attrib
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
     elif args.folded:
@@ -229,9 +184,11 @@ def _cmd_profile(args) -> int:
 def _cmd_critpath(args) -> int:
     import json as _json
 
+    from repro.harness.runner import RunSpec, execute
     from repro.obs.critpath import render_critpath
 
-    obs = _observed_variant(args, chrome=bool(args.trace_out), critpath=True)
+    _, obs = execute(RunSpec(args.workload, args.variant, args.policy,
+                             chrome=bool(args.trace_out), critpath=True))
     if args.json:
         print(_json.dumps(obs.critpath, indent=2, sort_keys=True))
     else:

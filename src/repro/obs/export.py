@@ -100,39 +100,6 @@ def write_chrome_trace(obs: Observation, path: str) -> None:
         fh.write("\n")
 
 
-def exporting_observer(workload: str, variant: str, obs_dir: str):
-    """A fully-armed :class:`~repro.obs.session.Observer` that writes the
-    run's Chrome trace and JSONL manifest into ``obs_dir`` on finalize
-    (``<workload>-<variant>.trace.json`` / ``.manifest.jsonl``, ``+`` in
-    variant names mapped to ``_``).
-
-    This is the per-run export path the Figure-6 sweep uses; it lives here
-    so pool workers and the serial harness share one code path — the bytes
-    a run leaves on disk must not depend on which process produced them.
-    """
-    import os
-
-    from repro.obs.session import Observer
-
-    os.makedirs(obs_dir, exist_ok=True)
-    stem = os.path.join(obs_dir, f"{workload}-{variant}".replace("+", "_"))
-
-    class _ExportingObserver(Observer):
-        def finalize(self, result):
-            obs = super().finalize(result)
-            write_chrome_trace(obs, stem + ".trace.json")
-            write_manifest(obs, stem + ".manifest.jsonl")
-            return obs
-
-    return _ExportingObserver(
-        chrome=True,
-        profile=True,
-        critpath=True,
-        meta={"name": f"{workload}/{variant}",
-              "benchmark": workload, "variant": variant},
-    )
-
-
 # ------------------------------------------------------------ run manifest
 def manifest_records(obs: Observation) -> Iterator[dict]:
     """The manifest as a stream of JSON-serialisable records."""

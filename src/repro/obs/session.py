@@ -99,8 +99,8 @@ class Observer:
         only a trace writer reads, so the callers that write a trace turn
         it on — ``repro-obs run``/``critpath --trace-out``,
         ``repro-obs bench --trace-dir``, ``cachier-annotate --trace-out``
-        and :func:`~repro.obs.export.exporting_observer` (``figure6
-        --obs-dir``, the sweep pool and the service's figure6 job).
+        and the sweep pool's ``run`` task with an obs dir (``figure6
+        --obs-dir`` and the service's figure6 job).
         Exporting an observation recorded without it raises
         :class:`~repro.errors.ObsError`.
     include_hits:

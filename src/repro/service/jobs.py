@@ -305,106 +305,74 @@ def _exec_bench(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
     }
 
 
-def _observed_run(spec: dict, *, profile: bool, critpath: bool):
-    from repro.harness.pool import cached_variants
-    from repro.harness.runner import run_program
-    from repro.obs.session import Observer
-    from repro.workloads.base import get_workload
+#: the one report each observed kind persists
+_OBSERVED_ARTIFACT = {
+    "profile": "attrib.json",
+    "critpath": "critpath.json",
+    "verify": "verify.json",
+}
 
-    wspec = get_workload(spec["workload"])
-    variants = cached_variants(spec["workload"], spec["policy"],
-                               include_prefetch=True)
-    program = variants.programs.get(spec["variant"])
-    if program is None:
-        raise ServiceError(
-            f"workload {spec['workload']!r} has no variant "
-            f"{spec['variant']!r} (available: {sorted(variants.programs)})"
-        )
-    observer = Observer(
-        profile=profile, critpath=critpath,
-        meta={"name": f"{spec['workload']}/{spec['variant']}",
-              "workload": spec["workload"], "variant": spec["variant"]},
+
+def _exec_observed(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
+    """``profile``, ``critpath`` and ``verify``: one run of a named variant
+    with the kind's report switched on, persisting that report."""
+    from repro.harness.runner import RunSpec, execute
+
+    kind = spec["kind"]
+    run = RunSpec(
+        spec["workload"], spec["variant"], spec["policy"],
+        profile=kind == "profile", critpath=kind == "critpath",
+        verify=kind == "verify", strict=bool(spec.get("strict")),
+        faults=spec.get("faults"),
     )
-    result, _ = run_program(
-        program, wspec.config, wspec.params_fn, observer=observer,
-        faults_seed=spec.get("faults"),
-        verify=spec["kind"] == "verify",
-        strict_verify=bool(spec.get("strict")),
-        verify_label=f"{spec['workload']}/{spec['variant']}",
-    )
-    return result, observer.observation
-
-
-def _exec_profile(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
-    with job_phase("simulate", workload=spec["workload"]):
-        result, obs = _observed_run(spec, profile=True, critpath=False)
-    with job_phase("persist"):
-        atomic_write_json(
-            os.path.join(artifact_dir, "attrib.json"), obs.attrib,
-            indent=2, sort_keys=True,
-        )
-    hot = [r["array"] for r in obs.attrib["structures"][:3] if r["misses"]]
-    return {
-        "cycles": result.cycles,
-        "epochs": result.epochs,
-        "hot_structures": hot,
-    }
-
-
-def _exec_critpath(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
-    with job_phase("simulate", workload=spec["workload"]):
-        result, obs = _observed_run(spec, profile=False, critpath=True)
-    with job_phase("persist"):
-        atomic_write_json(
-            os.path.join(artifact_dir, "critpath.json"), obs.critpath,
-            indent=2, sort_keys=True,
-        )
-    return {
-        "cycles": result.cycles,
-        "critical_path_fraction": obs.critpath["critical_path_fraction"],
-        "straggler_epochs": obs.critpath["straggler_epochs"][:3],
-    }
-
-
-def _exec_verify(spec: dict, artifact_dir: str, ctx: ExecContext) -> dict:
-    label = f"{spec['workload']}/{spec['variant']}"
     try:
-        with job_phase("verify", label=label):
-            result, _ = _observed_run(spec, profile=False, critpath=False)
+        with job_phase("verify" if run.verify else "simulate",
+                       label=run.label):
+            result, obs = execute(run)
     except VerifyError as exc:
-        report = getattr(exc, "report", None)
-        payload = (
-            report.as_dict() if report is not None
-            else {"label": label, "ok": False, "error": str(exc)}
-        )
-        with job_phase("persist"):
-            atomic_write_json(
-                os.path.join(artifact_dir, "verify.json"), payload,
-                indent=2, sort_keys=True,
-            )
-        return {"ok": False, "label": label,
-                "error": str(exc).splitlines()[0]}
-    report = result.extra["verify_report"]
+        report = exc.report.as_dict()
+        summary = {"ok": False, "label": run.label,
+                   "error": str(exc).splitlines()[0]}
+    else:
+        if kind == "profile":
+            report = obs.attrib
+            summary = {
+                "cycles": result.cycles,
+                "epochs": result.epochs,
+                "hot_structures": [row["array"]
+                                   for row in report["structures"][:3]
+                                   if row["misses"]],
+            }
+        elif kind == "critpath":
+            report = obs.critpath
+            summary = {
+                "cycles": result.cycles,
+                "critical_path_fraction": report["critical_path_fraction"],
+                "straggler_epochs": report["straggler_epochs"][:3],
+            }
+        else:
+            report = result.extra["verify_report"].as_dict()
+            summary = {
+                "ok": True,
+                "label": run.label,
+                "checks": sum(report["checks"].values()),
+                "warnings": len(report["warnings"]),
+            }
     with job_phase("persist"):
         atomic_write_json(
-            os.path.join(artifact_dir, "verify.json"), report.as_dict(),
+            os.path.join(artifact_dir, _OBSERVED_ARTIFACT[kind]), report,
             indent=2, sort_keys=True,
         )
-    return {
-        "ok": True,
-        "label": label,
-        "checks": sum(report.checks.values()),
-        "warnings": len(report.warnings),
-    }
+    return summary
 
 
 _EXECUTORS = {
     "annotate": _exec_annotate,
     "figure6": _exec_figure6,
     "bench": _exec_bench,
-    "profile": _exec_profile,
-    "critpath": _exec_critpath,
-    "verify": _exec_verify,
+    "profile": _exec_observed,
+    "critpath": _exec_observed,
+    "verify": _exec_observed,
 }
 
 

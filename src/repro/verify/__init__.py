@@ -58,7 +58,7 @@ from repro.machine.events import (
 from repro.obs.events import EventBus, EventKind
 from repro.verify.invariants import Finding, check_op, check_state
 
-__all__ = ["InvariantChecker", "VerifyReport", "verify_run"]
+__all__ = ["InvariantChecker", "VerifyReport"]
 
 _OUT = "out"
 _IN = "in"
@@ -568,28 +568,3 @@ class InvariantChecker:
         rep.ok = False
         rep.error = str(exc)
         return rep
-
-
-def verify_run(
-    program,
-    config,
-    params_fn=None,
-    *,
-    faults_seed: int | None = None,
-    strict_cico: bool = False,
-    label: str = "",
-) -> tuple[VerifyReport, "object"]:
-    """Run ``program`` with an attached checker; returns (report, RunResult).
-
-    A :class:`~repro.errors.VerifyError` propagates to the caller; the
-    convenience exists for the CLI and tests, the harness runner wires the
-    checker itself via ``run_program(..., verify=True)``.
-    """
-    from repro.harness.runner import run_program
-
-    result, _store = run_program(
-        program, config, params_fn,
-        faults_seed=faults_seed, verify=True, strict_verify=strict_cico,
-        verify_label=label,
-    )
-    return result.extra["verify_report"], result

@@ -7,13 +7,14 @@ the run's event bus, and prints one PASS/FAIL line.  ``--faults SEED``
 additionally injects the seeded fault tape, which a passing run proves the
 architectural results survived.
 
-``--jobs N`` (or ``REPRO_JOBS``) fans the (workload, variant) runs out
-across worker processes through :mod:`repro.harness.pool`; PASS/FAIL lines
-and the report file keep their serial order regardless of completion
-order.  The parallel sweep always runs to completion: a failing or
-crashing run becomes a FAIL line plus a structured error row instead of
-aborting the remaining runs (``--jobs 1``, the default, keeps the serial
-fail-fast behaviour for debugging).
+Every run is a task of :mod:`repro.harness.pool`: ``--jobs N`` (or
+``REPRO_JOBS``) fans the (workload, variant) runs out across worker
+processes, and ``--jobs 1``, the default, runs them inline in this
+process.  PASS/FAIL lines and the report file keep their serial order
+regardless of completion order.  The sweep always runs to completion: a
+violating run prints a FAIL line with the verifier's diagnostic, and a
+crashing run a FAIL line plus a structured error row, without aborting
+the remaining runs.
 
 Exit status: 0 when every run verified clean; **1** when one or more runs
 completed but an invariant failed (the :class:`~repro.errors.VerifyError`
@@ -35,10 +36,6 @@ import argparse
 import json
 
 from repro.cliutil import add_version, run_cli
-from repro.errors import VerifyError
-from repro.harness.runner import run_program
-from repro.harness.variants import build_variants
-from repro.workloads.base import get_workload
 
 #: the Figure 6 benchmarks, the tool's default coverage
 DEFAULT_WORKLOADS = ("barnes", "ocean", "mp3d", "matmul", "tomcatv")
@@ -56,78 +53,28 @@ def _write_report(path: str, reports: list[dict]) -> None:
 EXIT_VIOLATION = 1
 
 
-def _run_serial(args, policy, workloads, variants) -> int:
-    """The pre-pool in-process path (``--jobs 1``): fail fast on the first
-    violation, printing the full VerifyError diagnostic and exiting 1."""
-    reports: list[dict] = []
-    failures = 0
-    for name in workloads:
-        spec = get_workload(name)
-        vset = build_variants(spec, policy=policy)
-        for variant in variants:
-            program = vset.programs.get(variant)
-            if program is None:
-                continue  # workload has no such variant (e.g. no hand version)
-            label = f"{name}/{variant}"
-            try:
-                result, _ = run_program(
-                    program, spec.config, spec.params_fn,
-                    faults_seed=args.faults, verify=True,
-                    strict_verify=args.strict, verify_label=label,
-                )
-            except VerifyError as exc:
-                failures += 1
-                report = getattr(exc, "report", None)
-                reports.append(
-                    report.as_dict() if report is not None
-                    else {"label": label, "ok": False, "error": str(exc)}
-                )
-                if args.report_out:
-                    _write_report(args.report_out, reports)
-                if args.json:
-                    print(json.dumps({"runs": reports}, indent=2,
-                                     sort_keys=True))
-                else:
-                    print(f"FAIL  {label}")
-                    print(exc)
-                return EXIT_VIOLATION
-            report = result.extra["verify_report"]
-            reports.append(report.as_dict())
-            if not args.json:
-                checks = sum(report.checks.values())
-                note = f"{checks} checks"
-                if report.warnings:
-                    note += f", {len(report.warnings)} cico warnings"
-                if args.faults is not None:
-                    note += f", faults seed={args.faults}"
-                print(f"PASS  {label:24s} {note}")
-
-    if args.report_out:
-        _write_report(args.report_out, reports)
-    if args.json:
-        print(json.dumps({"runs": reports}, indent=2, sort_keys=True))
-    return 0 if failures == 0 else EXIT_VIOLATION
-
-
-def _run_pooled(args, policy, workloads, variants, jobs) -> int:
-    """The parallel path: every (workload, variant) run is an independent
-    pool task; the sweep completes even when runs fail or crash."""
+def _verify(args, workloads, variants) -> int:
+    """Every (workload, variant) run the workload has is one pool task;
+    the sweep completes even when runs fail or crash."""
     from repro.harness.pool import (
         RunTask,
         SweepPool,
         render_errors,
         summarize_failures,
     )
+    from repro.harness.runner import RunSpec
+    from repro.harness.variants import planned_variants
+    from repro.workloads.base import get_workload
 
-    tasks = [
-        RunTask.make(
-            "verify", f"{name}/{variant}",
-            workload=name, variant=variant, policy=policy.value,
-            faults_seed=args.faults, strict=args.strict,
-        )
-        for name in workloads
-        for variant in variants
-    ]
+    tasks = []
+    for name in workloads:
+        available = planned_variants(get_workload(name))
+        for variant in variants:
+            if variant not in available:
+                continue  # e.g. no hand version
+            run = RunSpec(name, variant, args.policy, verify=True,
+                          strict=args.strict, faults=args.faults)
+            tasks.append(RunTask.make("run", run.label, spec=run))
     reports: list[dict] = []
     failed_runs: list[str] = []
 
@@ -142,24 +89,23 @@ def _run_pooled(args, policy, workloads, variants, jobs) -> int:
                 "error": err.get("message", "worker failed"),
             })
             return
-        value = outcome.value
-        if value.get("skipped"):
-            return  # workload has no such variant (e.g. no hand version)
-        reports.append(value["report"])
-        if not value["ok"]:
+        report = outcome.value["verify"]
+        reports.append(report)
+        if not report["ok"]:
             failed_runs.append(outcome.task.key)
             if not args.json:
-                print(f"FAIL  {value['label']}")
+                print(f"FAIL  {report['label']}")
+                print(report["error"])
             return
         if not args.json:
-            note = f"{value['checks']} checks"
-            if value["warnings"]:
-                note += f", {value['warnings']} cico warnings"
+            note = f"{sum(report['checks'].values())} checks"
+            if report["warnings"]:
+                note += f", {len(report['warnings'])} cico warnings"
             if args.faults is not None:
                 note += f", faults seed={args.faults}"
-            print(f"PASS  {value['label']:24s} {note}")
+            print(f"PASS  {report['label']:24s} {note}")
 
-    outcomes = SweepPool(jobs=jobs).run(tasks, on_result)
+    outcomes = SweepPool(jobs=args.jobs).run(tasks, on_result)
     if args.report_out:
         _write_report(args.report_out, reports)
     if args.json:
@@ -198,8 +144,8 @@ def _main(argv=None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="verify (workload, variant) runs across N worker processes "
-             "(0 = one per CPU; default $REPRO_JOBS or 1 = in-process, "
-             "fail-fast)",
+             "(0 = one per CPU; default $REPRO_JOBS or 1 = in-process); "
+             "every run completes at any N",
     )
     parser.add_argument(
         "--faults", type=int, metavar="SEED", default=None,
@@ -218,16 +164,9 @@ def _main(argv=None) -> int:
         help="print the report JSON to stdout instead of PASS/FAIL lines",
     )
     args = parser.parse_args(argv)
-    from repro.cachier.annotator import Policy
-    from repro.harness.pool import resolve_jobs
-
-    policy = Policy(args.policy)
     workloads = tuple(args.workload) if args.workload else DEFAULT_WORKLOADS
     variants = tuple(args.variant) if args.variant else DEFAULT_VARIANTS
-    jobs = resolve_jobs(args.jobs)
-    if jobs == 1:
-        return _run_serial(args, policy, workloads, variants)
-    return _run_pooled(args, policy, workloads, variants, jobs)
+    return _verify(args, workloads, variants)
 
 
 def main(argv=None) -> int:

@@ -158,19 +158,19 @@ def test_figure6_cli_worker_crash_exits_2_with_error_table(
 
 def test_figure6_cli_retry_exhausted_exits_2(capsys, monkeypatch):
     from repro.errors import WatchdogError
+    from repro.harness import runner
     from repro.harness.figure6 import main
-    from repro.harness.variants import VariantSet
 
-    original = VariantSet.run
+    original = runner.execute
     calls = []
 
-    def watchdogged(self, variant, observer=None, **kwargs):
-        if variant == "cachier":
-            calls.append(variant)
+    def watchdogged(spec):
+        if spec.variant == "cachier":
+            calls.append(spec.variant)
             raise WatchdogError("node 2 stuck at pc 7", node=2, pc=7)
-        return original(self, variant, observer, **kwargs)
+        return original(spec)
 
-    monkeypatch.setattr(VariantSet, "run", watchdogged)
+    monkeypatch.setattr(runner, "execute", watchdogged)
     rc = main(["--benchmark", "mp3d", "--no-prefetch", "--jobs", "1"])
     assert rc == EXIT_ERROR
     assert calls == ["cachier", "cachier"]  # retried once, then reported
@@ -178,6 +178,38 @@ def test_figure6_cli_retry_exhausted_exits_2(capsys, monkeypatch):
     assert "WatchdogError" in captured.out
     assert "node 2 stuck" in captured.out
     assert captured.err.startswith("cachier-figure6: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_figure6_cli_verify_violation_is_reported_not_retried(
+    capsys, monkeypatch
+):
+    from repro.errors import VerifyError
+    from repro.harness import runner
+    from repro.harness.figure6 import main
+    from repro.verify import VerifyReport
+
+    original = runner.execute
+    calls = []
+
+    def violating(spec):
+        if spec.variant == "cachier":
+            calls.append(spec.variant)
+            exc = VerifyError("swmr", "two writers", node=1, block=8)
+            exc.report = VerifyReport(label=spec.label, ok=False,
+                                      error=str(exc))
+            raise exc
+        return original(spec)
+
+    monkeypatch.setattr(runner, "execute", violating)
+    rc = main(["--benchmark", "mp3d", "--no-prefetch", "--verify"])
+    assert rc == EXIT_ERROR
+    assert calls == ["cachier"]  # deterministic, so never retried
+    captured = capsys.readouterr()
+    assert "VerifyError" in captured.out
+    assert "[swmr] two writers" in captured.out
+    assert captured.err.startswith("cachier-figure6: error: ")
+    assert "mp3d/cachier" in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -240,6 +272,7 @@ def test_verify_cli_invariant_failure_exits_1_pooled(capsys):
     captured = capsys.readouterr()
     assert "PASS  mp3d/plain" in captured.out  # the sweep completed
     assert "FAIL  mp3d/cachier" in captured.out
+    assert "cico-discipline" in captured.out  # the full diagnostic printed
     assert captured.err == ""
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.harness.checkpoint import Checkpointer, SweepState
 from repro.harness.figure6 import run_figure6
-from repro.harness.variants import VariantSet
+from repro.harness import runner
 
 
 def _digests(directory):
@@ -39,22 +39,22 @@ def test_interrupted_sweep_resumes_to_same_table_and_manifests(
     )
 
     # kill the sweep on its third variant run
-    original = VariantSet.run
+    original = runner.execute
     calls = {"n": 0}
 
-    def flaky(self, variant, observer=None, **kwargs):
+    def flaky(spec):
         if calls["n"] == 2:
             raise RuntimeError("simulated mid-sweep kill")
         calls["n"] += 1
-        return original(self, variant, observer, **kwargs)
+        return original(spec)
 
-    monkeypatch.setattr(VariantSet, "run", flaky)
+    monkeypatch.setattr(runner, "execute", flaky)
     with pytest.raises(RuntimeError, match="mid-sweep kill"):
         run_figure6(
             ["mp3d"], include_prefetch=False,
             obs_dir=str(part_obs), checkpoint_dir=str(part_ck),
         )
-    monkeypatch.setattr(VariantSet, "run", original)
+    monkeypatch.setattr(runner, "execute", original)
 
     # the ledger survived the kill and records exactly the finished runs
     ledger = SweepState(str(part_ck)).load()
@@ -75,10 +75,10 @@ def test_fully_completed_sweep_reruns_nothing(tmp_path, monkeypatch):
         ["mp3d"], include_prefetch=False, checkpoint_dir=str(ckdir)
     )
 
-    def explode(self, variant, observer=None, **kwargs):
+    def explode(spec):
         raise AssertionError("a completed variant was re-run")
 
-    monkeypatch.setattr(VariantSet, "run", explode)
+    monkeypatch.setattr(runner, "execute", explode)
     resumed = run_figure6(
         ["mp3d"], include_prefetch=False, checkpoint_dir=str(ckdir),
         resume=True,

@@ -94,13 +94,13 @@ def test_crashed_parallel_sweep_completes_and_resumes(tmp_path, monkeypatch):
     calls = []
     from repro.harness import pool as pool_mod
 
-    real_exec = pool_mod._EXECUTORS["figure6"]
+    real_exec = pool_mod._EXECUTORS["run"]
 
     def counting_exec(**kwargs):
-        calls.append(f"{kwargs['workload']}/{kwargs['variant']}")
+        calls.append(kwargs["spec"].label)
         return real_exec(**kwargs)
 
-    monkeypatch.setitem(pool_mod._EXECUTORS, "figure6", counting_exec)
+    monkeypatch.setitem(pool_mod._EXECUTORS, "run", counting_exec)
     resumed = run_figure6(
         BENCH, obs_dir=str(obs), checkpoint_dir=str(ck), resume=True,
         jobs=1, **KW,
@@ -121,7 +121,7 @@ def test_parallel_resume_skips_ledgered_runs(tmp_path, monkeypatch):
     def explode(**kwargs):
         raise AssertionError("a completed run was resubmitted")
 
-    monkeypatch.setitem(pool_mod._EXECUTORS, "figure6", explode)
+    monkeypatch.setitem(pool_mod._EXECUTORS, "run", explode)
     resumed = run_figure6(
         BENCH, checkpoint_dir=str(ck), resume=True, jobs=2, **KW,
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ObsError
+from repro.errors import ObsError, WorkloadError
 from repro.obs.baseline import (
     attrib_drift,
     bench_path,
@@ -58,7 +58,7 @@ class TestBenchWorkload:
         )
 
     def test_unknown_variant_raises(self):
-        with pytest.raises(ObsError, match="no variant"):
+        with pytest.raises(WorkloadError, match="has no 'nope' variant"):
             bench_workload("mp3d", variants=("plain", "nope"))
 
 

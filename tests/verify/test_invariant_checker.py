@@ -11,12 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import VerifyError
-from repro.harness.runner import run_program
+from repro.harness.runner import RunSpec, execute, run_program
 from repro.harness.variants import build_variants
 from repro.lang.interp import Interpreter, SharedStore
 from repro.machine.machine import Machine
 from repro.obs.events import EventBus
-from repro.verify import InvariantChecker, verify_run
+from repro.verify import InvariantChecker
 from repro.workloads.base import get_workload
 
 
@@ -27,9 +27,8 @@ def mp3d_variants():
 
 def test_clean_run_verifies_clean():
     spec = get_workload("mp3d")
-    report, result = verify_run(
-        spec.program, spec.config, spec.params_fn, label="mp3d/plain"
-    )
+    result, _ = execute(RunSpec("mp3d", verify=True))
+    report = result.extra["verify_report"]
     assert report.ok
     assert report.error is None
     assert report.label == "mp3d/plain"
@@ -47,11 +46,8 @@ def test_clean_run_verifies_clean():
 
 
 def test_clean_run_verifies_clean_under_faults():
-    spec = get_workload("mp3d")
-    report, _ = verify_run(
-        spec.program, spec.config, spec.params_fn,
-        faults_seed=1789, label="mp3d/plain+faults",
-    )
+    result, _ = execute(RunSpec("mp3d", verify=True, faults=1789))
+    report = result.extra["verify_report"]
     assert report.ok
     assert report.checks["swmr"] > 0
 
@@ -108,8 +104,7 @@ def test_conservation_catches_tampered_counter():
 def test_report_as_dict_is_jsonable():
     import json
 
-    spec = get_workload("mp3d")
-    report, _ = verify_run(spec.program, spec.config, spec.params_fn)
-    payload = json.loads(json.dumps(report.as_dict()))
+    result, _ = execute(RunSpec("mp3d", verify=True))
+    payload = json.loads(json.dumps(result.extra["verify_report"].as_dict()))
     assert payload["ok"] is True
     assert payload["checks"]["conservation"] == 1
